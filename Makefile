@@ -1,7 +1,7 @@
 # Makefile — the commands CI runs are exactly the commands humans run.
 GO ?= go
 
-.PHONY: build test test-short bench bench-json lint figures cover fuzz-smoke load-smoke reduce-gate cache-surgery
+.PHONY: build test test-short bench bench-json lint figures cover fuzz-smoke load-smoke explore-gate cache-surgery
 
 build:
 	$(GO) build ./...
@@ -55,29 +55,26 @@ load-smoke:
 cache-surgery:
 	./scripts/cache-surgery.sh
 
-# reduce-gate proves the memoized explorer equivalent on the real
-# experiments: E2 and E15 run exhaustively, with serial `figures
-# -reduce`, and with the parallel `-reduce -jobs 4` path, and must
-# emit byte-identical tables in every format while visiting strictly
-# fewer states than they account executions; the parallel arm must
-# share memo entries across its prefix ranges. The reduced-only heavy
-# sweep E16 gates serial-memo against parallel-memo the same way.
-# Execution counts are pinned to the committed BENCH_explore.json
-# baseline (which the gate rewrites with fresh counters and ns/op).
-reduce-gate:
-	./scripts/reduce-gate.sh
+# explore-gate proves the memoized explorer — the only path E2, E15
+# and E16 take — equivalent to the exhaustive oracle on the real
+# experiments: a Go test renders the three through both and compares
+# the text/json/csv bytes, then the `figures -v` counter lines are
+# pinned exactly (executions, replays, states visited, states pruned)
+# to the committed BENCH_explore.json baseline, which the gate
+# rewrites with fresh counters and the oracle-vs-memo ns/op.
+explore-gate:
+	./scripts/explore-gate.sh
 
 # fuzz-smoke runs each fuzz target briefly: arbitrary bytes must never
 # panic the results decoder, the cache read path, the canonical-state
-# fingerprint, or the prefixes-to-memoized-exploration pipeline, and
-# random (system, workers, carve) points must keep the parallel memo
-# byte-identical to the serial one.
+# fingerprint, the prefixes-to-memoized-exploration pipeline, or the
+# family parameter parser.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeJSON$$' -fuzztime=10s ./internal/experiments
 	$(GO) test -run='^$$' -fuzz='^FuzzCacheGet$$' -fuzztime=10s ./internal/cache
 	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalState$$' -fuzztime=10s ./internal/memory
 	$(GO) test -run='^$$' -fuzz='^FuzzPrefixesMemoExplore$$' -fuzztime=10s ./internal/experiments
-	$(GO) test -run='^$$' -fuzz='^FuzzMemoParallelDeterminism$$' -fuzztime=10s ./internal/sched
+	$(GO) test -run='^$$' -fuzz='^FuzzParseParams$$' -fuzztime=10s ./internal/experiments
 
 figures:
 	$(GO) run ./cmd/figures

@@ -39,11 +39,11 @@ func BenchmarkFig1Classification(b *testing.B) {
 // at k = 3 (Figure 2's object, one size down to keep iterations cheap).
 func BenchmarkAlg1Enumeration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runs, err := agreement.ExploreAlg1(3, [2]uint64{0, 1}, func(ar *agreement.Alg1Run) {})
+		_, stats, err := agreement.ExploreAlg1(3, [2]uint64{0, 1}, sched.Options{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(runs), "executions")
+		b.ReportMetric(float64(stats.Executions), "executions")
 	}
 }
 
@@ -88,7 +88,7 @@ func BenchmarkAlg2Universal(b *testing.B) {
 // BenchmarkPigeonholeBound (E4): the register-content collision search.
 func BenchmarkPigeonholeBound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c, err := impossibility.WorstCollision(3, 0)
+		c, err := impossibility.WorstCollision(3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -341,7 +341,7 @@ func BenchmarkExperimentTables(b *testing.B) {
 	}
 }
 
-// BenchmarkSweep runs the full E1–E14 sweep through the experiment
+// BenchmarkSweep runs the full E1–E16 sweep through the experiment
 // engine: jobs=1 is the serial baseline, jobs=NumCPU the concurrent
 // run. On 4+ cores the concurrent arm is ≥2x faster wall-clock while
 // emitting byte-identical tables (TestEngineConcurrentMatchesSerial);
@@ -368,38 +368,31 @@ func BenchmarkSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkExploreParallel measures the bounded fan-out over disjoint
-// schedule prefixes on the Algorithm 1 interleaving space (the hot loop
-// of E2/E4 and the impossibility package).
-func BenchmarkExploreParallel(b *testing.B) {
-	workerCounts := []int{1}
-	if n := runtime.NumCPU(); n > 1 {
-		workerCounts = append(workerCounts, n)
+// BenchmarkExploreExhaustive measures the exhaustive oracle — one
+// replay per execution — on the Algorithm 1 interleaving space of E2
+// (k = 4): the hot loop of the differential tests and of E4's
+// impossibility analyses.
+func BenchmarkExploreExhaustive(b *testing.B) {
+	var stats sched.Stats
+	for i := 0; i < b.N; i++ {
+		_, s, err := agreement.ExploreAlg1(4, [2]uint64{0, 1}, sched.Options{}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stats = s
 	}
-	for _, workers := range workerCounts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var runs int
-			for i := 0; i < b.N; i++ {
-				r, err := agreement.ExploreAlg1Parallel(4, [2]uint64{0, 1}, workers, func(*agreement.Alg1Run) {})
-				if err != nil {
-					b.Fatal(err)
-				}
-				runs = r
-			}
-			b.ReportMetric(float64(runs), "executions")
-		})
-	}
+	b.ReportMetric(float64(stats.Executions), "executions")
 }
 
 // BenchmarkExploreMemoized measures the canonical-state memoized
-// exploration of the same Algorithm 1 space BenchmarkExploreParallel
-// sweeps exhaustively: the reported executions metric matches the
-// exhaustive run count while replays stays a fraction of it — the
-// reduction BENCH_explore.json tracks over time.
+// exploration of the same Algorithm 1 space BenchmarkExploreExhaustive
+// sweeps: the reported executions metric matches the exhaustive run
+// count while replays stays a fraction of it — the reduction
+// BENCH_explore.json tracks over time.
 func BenchmarkExploreMemoized(b *testing.B) {
-	var stats sched.MemoStats
+	var stats sched.Stats
 	for i := 0; i < b.N; i++ {
-		_, s, err := agreement.ExploreAlg1Memo(4, [2]uint64{0, 1}, nil, nil)
+		_, s, err := agreement.ExploreAlg1(4, [2]uint64{0, 1}, sched.Options{Memo: true}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -409,33 +402,6 @@ func BenchmarkExploreMemoized(b *testing.B) {
 	b.ReportMetric(float64(stats.Replays), "replays")
 	b.ReportMetric(float64(stats.StatesVisited), "states_visited")
 	b.ReportMetric(float64(stats.StatesPruned), "states_pruned")
-}
-
-// BenchmarkExploreMemoParallel measures the sharded concurrent memo
-// table over the same Algorithm 1 space BenchmarkExploreMemoized walks
-// serially: workers=1 is the serial reference (the parallel entry point
-// falls through to ExploreMemo), higher counts split the prefix ranges
-// across goroutines over one shared table. The states_shared metric
-// counts memo entries reused across ranges — the cross-worker savings
-// the shared table buys over independent per-range memos. On a
-// single-core host the ns/op lines coincide; the speedup column in
-// BENCH_explore.json reads workers=8 against workers=1 either way.
-func BenchmarkExploreMemoParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var stats sched.MemoStats
-			for i := 0; i < b.N; i++ {
-				_, s, err := agreement.ExploreAlg1MemoParallel(4, [2]uint64{0, 1}, workers, nil, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				stats = s
-			}
-			b.ReportMetric(float64(stats.Executions), "executions")
-			b.ReportMetric(float64(stats.Replays), "replays")
-			b.ReportMetric(float64(stats.StatesShared), "states_shared")
-		})
-	}
 }
 
 // BenchmarkSchedHandshake measures the raw cost of one scheduler-gated

@@ -1,12 +1,12 @@
 // Command figures regenerates the data behind every figure and
-// theorem-level claim of the paper (experiments E1..E15 of DESIGN.md)
+// theorem-level claim of the paper (experiments E1..E16 of DESIGN.md)
 // through the concurrent experiment engine, printing one table per
 // experiment in index order regardless of completion order.
 //
 // Usage:
 //
 //	figures [-run E3,E7] [-jobs N] [-format text|json|csv] [-timeout D]
-//	        [-cache-dir DIR] [-no-cache] [-workers HOSTS] [-reduce]
+//	        [-cache-dir DIR] [-no-cache] [-workers HOSTS]
 //	        [-param k=7,i0=0] [-o FILE] [-list] [-v]
 //	figures load -addr HOSTS [-qps N] [-duration D] [-warmup D]
 //	        [-mix whole:3,slice:1] [-experiments E1,E2,E15] [-o FILE]
@@ -29,30 +29,23 @@
 // (internal/shard) and the merged output is still byte-identical to a
 // local run — -jobs then governs only the local fallback, because
 // remote workers own their own concurrency. Prefix-shardable
-// experiments (E2's exhaustive Algorithm 1 sweep, E15's exhaustive
-// Algorithm 2 validation) go further when at least two workers are
-// healthy: their own exploration space is carved into
-// schedule-prefix ranges split across the fleet and the
-// order-insensitive aggregates are merged, so a single theorem-scale
-// space finishes faster than any one box while emitting the same
-// bytes. Combining -workers with -cache-dir makes the run the top of
+// experiments (E2's Algorithm 1 sweep, E15's Algorithm 2 validation)
+// go further when at least two workers are healthy: their own
+// exploration space is carved into schedule-prefix ranges split
+// across the fleet and the order-insensitive aggregates are merged,
+// emitting the same bytes as a local run. Combining -workers with -cache-dir makes the run the top of
 // a read-through cache hierarchy: each range is consulted in the
 // store before it is dispatched and stored back after, so a repeated
 // sharded run of the same space executes zero explorations anywhere.
 //
-// -reduce runs the reduced-capable experiments (E2's and E15's
-// exhaustive schedule sweeps, plus the opt-in heavy E16 — the k=5
-// Algorithm 1 sweep that only exists in reduced form) through the
-// canonical-state memoized explorer instead of replaying every
-// interleaving: the output bytes are identical in every format, and
-// one stderr line per reduced experiment reports the explorer's
-// counters (states visited, subtrees pruned, replays performed vs
-// executions accounted, worker fan-out, memo entries shared across
-// prefix ranges). -jobs doubles as the explorer's worker count: jobs
-// above one split the carved prefix ranges across goroutines over one
-// shared memo table, same bytes at every level. It is a local engine
-// mode, so it cannot combine with -workers — sharded ranges keep
-// their exhaustive byte-identical contract.
+// The schedule-tree sweeps (E2, E15, E16) explore through the
+// canonical-state memo, which accounts every interleaving from a few
+// hundred replays. With -v, each freshly explored experiment adds one
+// stderr line with the explorer's counters:
+//
+//	figures: explore E2 visited=242 pruned=126 replays=146 executions=22080
+//
+// A cache hit explores nothing and prints no such line.
 //
 // -param evaluates one experiment family at one point of its
 // parameter space instead of the fixed registry point: -run must name
@@ -63,8 +56,7 @@
 // experiment's. Parameterized points ride every existing mode: they
 // cache under per-point content-addressed keys with -cache-dir, shard
 // across a fleet with -workers (carved at the requested point), and
-// journal with -trace. -reduce stays pinned to the fixed registry
-// points, so it cannot combine with -param.
+// journal with -trace.
 //
 // -trace turns on per-request span journaling (internal/trace) for
 // sharded runs: every run gets a request ID, the coordinator journals
@@ -127,11 +119,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		noCache  = fs.Bool("no-cache", false, "ignore -cache-dir and run everything fresh")
 		workers  = fs.String("workers", "", "comma-separated figuresd workers (host:port) to fan the run out to; unreachable workers fall back to local execution, which -jobs governs")
 		traceOn  = fs.Bool("trace", false, "journal per-request spans on sharded runs and print each request's trace id and timeline on stderr (requires -workers)")
-		reduce   = fs.Bool("reduce", false, "run reduced-capable experiments through the canonical-state memoized explorer (byte-identical output, counters on stderr; incompatible with -workers)")
 		param    = fs.String("param", "", "evaluate one family at a parameter point (\"k=7,i0=0\", omitted parameters default); requires -run naming exactly one parameterized family")
 		outFile  = fs.String("o", "", "write output to this file instead of stdout")
 		list     = fs.Bool("list", false, "list experiment ids and exit")
-		verbose  = fs.Bool("v", false, "report per-experiment timing on stderr")
+		verbose  = fs.Bool("v", false, "report per-experiment timing and exploration counters on stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -143,11 +134,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *list {
 		for _, id := range experiments.IDs() {
 			fmt.Fprintln(stdout, id)
-		}
-		// Heavy experiments run only when named in -run; the default
-		// sweep skips them.
-		for _, id := range experiments.HeavyIDs() {
-			fmt.Fprintf(stdout, "%s (heavy, opt-in)\n", id)
 		}
 		return nil
 	}
@@ -161,12 +147,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// -trace would read as "nothing happened", so reject it instead.
 	if *traceOn && *workers == "" {
 		return fmt.Errorf("-trace requires -workers (spans journal the coordinator's fleet decisions)")
-	}
-	// The memoized mode is a local engine choice; sharded ranges keep
-	// the exhaustive byte-identical contract, so a silently exhaustive
-	// -reduce -workers run would misreport what it measured.
-	if *reduce && *workers != "" {
-		return fmt.Errorf("-reduce cannot combine with -workers (reduction is a local engine mode)")
 	}
 
 	var ids []string
@@ -183,9 +163,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var fam experiments.Family
 	var ps experiments.ParamSet
 	if *param != "" {
-		if *reduce {
-			return fmt.Errorf("-param cannot combine with -reduce (reduction is pinned to the fixed registry points)")
-		}
 		if len(ids) != 1 {
 			return fmt.Errorf("-param requires -run naming exactly one parameterized family")
 		}
@@ -205,7 +182,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Jobs:     *jobs,
 		Timeout:  *timeout,
 		Registry: testRegistry,
-		Reduce:   *reduce,
 	}
 	// Validate the ids before touching the -o file below: a typo'd
 	// -run must fail cleanly, not truncate an existing output file.
@@ -214,12 +190,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		reg = experiments.Registry()
 	}
 	for _, id := range ids {
-		if _, ok := reg[id]; ok {
-			continue
-		}
-		// Heavy opt-in ids (E16) resolve only against the real registry,
-		// mirroring the engine's HeavyFor rule.
-		if _, ok := experiments.HeavyFor(testRegistry)[id]; !ok {
+		if _, ok := reg[id]; !ok {
 			return fmt.Errorf("unknown experiment %q", id)
 		}
 	}
@@ -273,20 +244,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 			fmt.Fprintf(stderr, "figures: %-4s %8.3fs  %s\n", r.ID, r.Duration.Seconds(), status)
 		}
-		fmt.Fprintf(stderr, "figures: total %.3fs\n", time.Since(start).Seconds())
-	}
-	// One grep-friendly counter line per reduced experiment (CI keys on
-	// the "figures: reduce" prefix): the proof the run went through the
-	// memoized explorer, and how much it saved.
-	if *reduce {
+		// One grep-friendly counter line per freshly explored
+		// experiment (CI keys on the "figures: explore" prefix): what
+		// the memoized explorer did, and how much it saved.
 		for _, r := range results {
-			if !r.Reduced {
-				continue
+			if m := r.Memo; m.Executions > 0 {
+				fmt.Fprintf(stderr, "figures: explore %s visited=%d pruned=%d replays=%d executions=%d\n",
+					r.ID, m.StatesVisited, m.StatesPruned, m.Replays, m.Executions)
 			}
-			fmt.Fprintf(stderr, "figures: reduce %s visited=%d pruned=%d replays=%d executions=%d workers=%d shared=%d\n",
-				r.ID, r.Memo.StatesVisited, r.Memo.StatesPruned, r.Memo.Replays, r.Memo.Executions,
-				r.Memo.Workers, r.Memo.StatesShared)
 		}
+		fmt.Fprintf(stderr, "figures: total %.3fs\n", time.Since(start).Seconds())
 	}
 	// The hit-rate line counts this process's own store: local-run
 	// hits, or — sharded — the coordinator's front-cache hits (worker

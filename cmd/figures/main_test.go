@@ -234,13 +234,8 @@ func TestRunList(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 16 || lines[0] != "E1" || lines[14] != "E15" {
+	if len(lines) != 16 || lines[0] != "E1" || lines[15] != "E16" {
 		t.Fatalf("-list = %v", lines)
-	}
-	// Heavy opt-in ids follow the default sweep, tagged so nobody runs
-	// them by accident.
-	if lines[15] != "E16 (heavy, opt-in)" {
-		t.Fatalf("heavy line = %q", lines[15])
 	}
 }
 
@@ -249,6 +244,7 @@ func TestRunBadFlags(t *testing.T) {
 		{"-format", "yaml"},
 		{"-run", "E99"},
 		{"-run", " , "}, // only empty entries must not mean "run everything"
+		{"-reduce"},     // retired: memoized exploration is the only path
 	} {
 		if err := run(args, &bytes.Buffer{}, &bytes.Buffer{}); err == nil {
 			t.Errorf("args %v accepted", args)
@@ -453,42 +449,31 @@ func TestLoadSubcommandRejects(t *testing.T) {
 	}
 }
 
-// TestReduceFlagByteIdenticalWithCounters pins the -reduce CLI
-// surface: the reduced run's stdout is byte-identical to the
-// exhaustive run in every format, and stderr carries one counter line
-// per reduced experiment showing real pruning.
-func TestReduceFlagByteIdenticalWithCounters(t *testing.T) {
-	for _, format := range []string{"text", "json", "csv"} {
-		var full, fullErr bytes.Buffer
-		if err := run([]string{"-run", "E2", "-format", format}, &full, &fullErr); err != nil {
-			t.Fatal(err)
-		}
-		var red, redErr bytes.Buffer
-		if err := run([]string{"-run", "E2", "-format", format, "-reduce"}, &red, &redErr); err != nil {
-			t.Fatal(err)
-		}
-		if red.String() != full.String() {
-			t.Errorf("%s: -reduce output diverges:\n--- exhaustive ---\n%s--- reduced ---\n%s",
-				format, full.String(), red.String())
-		}
-		if !strings.Contains(redErr.String(), "figures: reduce E2 visited=") {
-			t.Errorf("%s: stderr missing counter line: %q", format, redErr.String())
-		}
-		if strings.Contains(fullErr.String(), "figures: reduce") {
-			t.Errorf("%s: exhaustive run printed reduce counters: %q", format, fullErr.String())
-		}
+// TestVerboseExplorationCounters pins the -v counter lines: a fresh
+// run prints one "figures: explore" line per memoized experiment with
+// the explorer's exact counters, none for experiments that explore
+// nothing, and a warm-cache run — which explores nothing — prints none
+// while emitting the same bytes.
+func TestVerboseExplorationCounters(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-run", "E2,E1", "-v", "-cache-dir", dir}
+	var cold, coldErr bytes.Buffer
+	if err := run(args, &cold, &coldErr); err != nil {
+		t.Fatal(err)
 	}
-}
+	const line = "figures: explore E2 visited=242 pruned=126 replays=146 executions=22080\n"
+	if got := strings.Count(coldErr.String(), "figures: explore "); got != 1 || !strings.Contains(coldErr.String(), line) {
+		t.Fatalf("cold stderr has %d explore lines, want exactly %q:\n%s", got, line, coldErr.String())
+	}
 
-// TestReduceRejectsWorkers: the memoized mode is a local engine
-// choice, so combining it with a fleet run must fail fast.
-func TestReduceRejectsWorkers(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	err := run([]string{"-run", "E2", "-reduce", "-workers", "localhost:1"}, &out, &errBuf)
-	if err == nil || !strings.Contains(err.Error(), "-reduce cannot combine with -workers") {
-		t.Fatalf("err = %v, want -reduce/-workers rejection", err)
+	var warm, warmErr bytes.Buffer
+	if err := run(args, &warm, &warmErr); err != nil {
+		t.Fatal(err)
 	}
-	if out.Len() != 0 {
-		t.Fatalf("rejected run produced output: %q", out.String())
+	if strings.Contains(warmErr.String(), "figures: explore") {
+		t.Errorf("warm run printed explore counters:\n%s", warmErr.String())
+	}
+	if warm.String() != cold.String() {
+		t.Error("warm output differs from the cold run")
 	}
 }

@@ -6,8 +6,8 @@
 // The model, every algorithm of the paper (Algorithms 1-6), every
 // substrate they depend on, and one experiment per figure/theorem live
 // under internal/; see DESIGN.md for the package inventory, the
-// E1..E15 experiment index, and the concurrent experiment engine that
+// E1..E16 experiment index, and the concurrent experiment engine that
 // cmd/figures drives. The benchmarks in bench_test.go regenerate each
 // experiment's series; BenchmarkSweep compares the serial and
-// concurrent engine on the full E1..E15 sweep.
+// concurrent engine on the full E1..E16 sweep.
 package repro

@@ -23,7 +23,7 @@ func main() {
 func run() error {
 	// Step 1: the execution graph is connected (Lemma 2.1's shadow).
 	k := 3
-	g, err := impossibility.BuildAlg1Graph(k, 0)
+	g, err := impossibility.BuildAlg1Graph(k)
 	if err != nil {
 		return err
 	}
@@ -38,7 +38,7 @@ func run() error {
 	// Step 2: the pigeonhole. All executions leave one of ≤ 4 register
 	// states; within one state, outputs far apart coexist.
 	for _, kk := range []int{2, 4, 6} {
-		c, err := impossibility.WorstCollision(kk, 0)
+		c, err := impossibility.WorstCollision(kk)
 		if err != nil {
 			return err
 		}

@@ -170,8 +170,8 @@ func (ar *Alg1Run) Check(k int) error {
 
 // newAlg1Run builds a fresh Algorithm 1 system: the run record (with its
 // own shared memory) and the two process closures wired into it. Every
-// runner and explorer goes through it, so the serial and parallel
-// enumerations execute identical systems.
+// runner and explorer goes through it, so the exhaustive and memoized
+// explorations execute identical systems.
 func newAlg1Run(k int, inputs [2]uint64) (*Alg1Run, []sched.ProcFunc) {
 	m := NewAlg1Memory()
 	ar := &Alg1Run{Inputs: inputs, Mem: m}
@@ -193,91 +193,29 @@ func RunAlg1(k int, inputs [2]uint64, scheduler sched.Scheduler) (*Alg1Run, erro
 	return ar, nil
 }
 
-// ExploreAlg1 enumerates every crash-free interleaving of Algorithm 1 for
-// the given inputs and calls visit on each completed run. It returns the
-// number of executions explored.
-func ExploreAlg1(k int, inputs [2]uint64, visit func(*Alg1Run)) (int, error) {
-	var cur *Alg1Run
-	factory := func() []sched.ProcFunc {
-		var procs []sched.ProcFunc
-		cur, procs = newAlg1Run(k, inputs)
-		return procs
-	}
-	return sched.ExploreAll(factory, 0, func(r *sched.Result) {
-		cur.Result = r
-		visit(cur)
-	})
-}
-
-// ExploreAlg1Parallel enumerates the same executions as ExploreAlg1 with
-// a bounded goroutine fan-out over disjoint schedule prefixes
-// (sched.ExploreParallel). visit is called serially under the explorer's
-// lock — it may mutate shared state freely — but in nondeterministic
-// order, so it must aggregate order-insensitively. workers <= 0 means
-// sched.DefaultExploreWorkers.
-func ExploreAlg1Parallel(k int, inputs [2]uint64, workers int, visit func(*Alg1Run)) (int, error) {
-	return ExploreAlg1Prefixes(k, inputs, workers, [][]int{{}}, visit)
-}
-
-// ExploreAlg1Prefixes explores exactly the Algorithm 1 executions
-// extending the given schedule prefixes (sched.ExplorePrefixes): the
-// slice of the exploration space one shard of a distributed run owns.
-// Roots come from Alg1Roots; the union of visits over any partition of
-// those roots is exactly the ExploreAlg1 execution set.
-func ExploreAlg1Prefixes(k int, inputs [2]uint64, workers int, roots [][]int, visit func(*Alg1Run)) (int, error) {
+// ExploreAlg1 explores every crash-free interleaving of Algorithm 1
+// for the given inputs under opts (sched.Explore) and returns the
+// merged leaf contributions and the exploration counters.
+//
+// leaf sees each explored execution's run and follows the
+// sched.Instance.Leaf contract: it must not retain the Alg1Run or its
+// pooled Result, and a non-nil error stops the exploration. In the
+// memoized mode (opts.Memo) it runs on each *visited* leaf only, with
+// pruned subtrees contributing their memoized twins' values, so its
+// contribution must be a fresh value determined by the run's final
+// state and — because the memory's canonical key applies the
+// process-relabelling reduction — invariant under swapping the two
+// processes' roles whenever the inputs are equal. opts.Merge must be
+// pure. nil leaf explores for the counters alone.
+func ExploreAlg1(k int, inputs [2]uint64, opts sched.Options, leaf func(*Alg1Run) (any, error)) (any, sched.Stats, error) {
 	factory := func() sched.Instance {
 		cur, procs := newAlg1Run(k, inputs)
-		return sched.Instance{
-			Procs: procs,
-			Done: func(r *sched.Result) {
-				cur.Result = r
-				visit(cur)
-			},
-		}
-	}
-	return sched.ExplorePrefixes(factory, 0, workers, roots)
-}
-
-// ExploreAlg1Memo is the memoized analogue of ExploreAlg1
-// (sched.ExploreMemo): it explores the same schedule tree through the
-// canonical-state memo, merging leaf's per-execution contributions
-// with merge instead of visiting every execution. The aggregate —
-// and the reported execution count — are exactly the exhaustive
-// ones, at a fraction of the replays.
-//
-// leaf runs on each *visited* leaf and must obey the memo contract
-// (sched.MemoInstance.Leaf): return a fresh value determined by the
-// run's final state, never retain the Alg1Run or its pooled
-// Result, and — because the memory's canonical key applies the
-// process-relabelling reduction — be invariant under swapping the two
-// processes' roles whenever the inputs are equal. merge must be pure
-// (sched.MemoOptions.Merge).
-func ExploreAlg1Memo(k int, inputs [2]uint64, leaf func(*Alg1Run) any, merge func(a, b any) any) (any, sched.MemoStats, error) {
-	return ExploreAlg1MemoPrefixes(k, inputs, [][]int{{}}, leaf, merge)
-}
-
-// ExploreAlg1MemoPrefixes is ExploreAlg1Memo restricted to the
-// subtrees under the given schedule prefixes
-// (sched.ExploreMemoPrefixes): the memoized form of the slice a shard
-// of a distributed run owns. The memoized union over any partition of
-// Alg1Roots equals the exhaustive whole-tree aggregate.
-func ExploreAlg1MemoPrefixes(k int, inputs [2]uint64, roots [][]int, leaf func(*Alg1Run) any, merge func(a, b any) any) (any, sched.MemoStats, error) {
-	return sched.ExploreMemoPrefixes(alg1MemoFactory(k, inputs, leaf), sched.MemoOptions{Merge: merge}, roots)
-}
-
-// alg1MemoFactory builds the MemoInstance factory the memoized
-// explorers (serial and parallel) share: a fresh Algorithm 1 run per
-// instance, fingerprinted by the memory's canonical (relabelling-
-// reduced) key, with leaf wrapped to see the current run.
-func alg1MemoFactory(k int, inputs [2]uint64, leaf func(*Alg1Run) any) func() sched.MemoInstance {
-	return func() sched.MemoInstance {
-		cur, procs := newAlg1Run(k, inputs)
-		inst := sched.MemoInstance{
+		inst := sched.Instance{
 			Procs: procs,
 			State: cur.Mem.CanonicalKey,
 		}
 		if leaf != nil {
-			inst.Leaf = func(r *sched.Result) any {
+			inst.Leaf = func(r *sched.Result) (any, error) {
 				cur.Result = r
 				defer func() { cur.Result = nil }()
 				return leaf(cur)
@@ -285,25 +223,7 @@ func alg1MemoFactory(k int, inputs [2]uint64, leaf func(*Alg1Run) any) func() sc
 		}
 		return inst
 	}
-}
-
-// ExploreAlg1MemoParallel is ExploreAlg1Memo across workers goroutines
-// sharing one concurrent memo table (sched.ExploreMemoParallel): the
-// same aggregate and execution count, byte-identical to the serial
-// memo and to the exhaustive sweep, with the replays spread over
-// cores. leaf and merge keep the memo contract and must additionally
-// be safe to call from concurrent workers (leaf receives a worker-
-// private Alg1Run, so pure extractors — the normal shape — qualify
-// as-is). workers <= 0 means sched.DefaultExploreWorkers.
-func ExploreAlg1MemoParallel(k int, inputs [2]uint64, workers int, leaf func(*Alg1Run) any, merge func(a, b any) any) (any, sched.MemoStats, error) {
-	return sched.ExploreMemoParallel(alg1MemoFactory(k, inputs, leaf), sched.MemoOptions{Merge: merge}, workers)
-}
-
-// ExploreAlg1MemoParallelPrefixes is ExploreAlg1MemoPrefixes across
-// workers goroutines sharing one memo table
-// (sched.ExploreMemoParallelPrefixes).
-func ExploreAlg1MemoParallelPrefixes(k int, inputs [2]uint64, workers int, roots [][]int, leaf func(*Alg1Run) any, merge func(a, b any) any) (any, sched.MemoStats, error) {
-	return sched.ExploreMemoParallelPrefixes(alg1MemoFactory(k, inputs, leaf), sched.MemoOptions{Merge: merge}, workers, roots)
+	return sched.Explore(factory, opts)
 }
 
 // Alg1Roots enumerates the live schedule prefixes of the Algorithm 1

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/sched"
 	"repro/internal/sched/schedtest"
 )
 
@@ -25,12 +26,15 @@ func alg1FP(ar *Alg1Run) string {
 	return fmt.Sprint(pair)
 }
 
+// alg1Leaf is alg1FP as a one-element Counts contribution.
+func alg1Leaf(ar *Alg1Run) (any, error) { return schedtest.Counts{alg1FP(ar): 1}, nil }
+
 // alg1Exhaustive collects the exhaustive fingerprint multiset and run
 // count for one (k, inputs) cell.
 func alg1Exhaustive(t *testing.T, k int, inputs [2]uint64) (schedtest.Counts, int) {
 	t.Helper()
 	counts := schedtest.Counts{}
-	runs, err := ExploreAlg1(k, inputs, func(ar *Alg1Run) {
+	runs, err := visitAlg1(k, inputs, nil, func(ar *Alg1Run) {
 		counts.Add(alg1FP(ar))
 	})
 	if err != nil {
@@ -63,11 +67,10 @@ func TestAlg1MemoMatchesExhaustive(t *testing.T) {
 		name := fmt.Sprintf("k%d_in%d%d", tc.k, tc.inputs[0], tc.inputs[1])
 		t.Run(name, func(t *testing.T) {
 			want, runs := alg1Exhaustive(t, tc.k, tc.inputs)
-			agg, stats, err := ExploreAlg1Memo(tc.k, tc.inputs,
-				func(ar *Alg1Run) any { return schedtest.Counts{alg1FP(ar): 1} },
-				schedtest.Merge)
+			agg, stats, err := ExploreAlg1(tc.k, tc.inputs,
+				sched.Options{Memo: true, Merge: schedtest.Merge}, alg1Leaf)
 			if err != nil {
-				t.Fatalf("ExploreAlg1Memo: %v", err)
+				t.Fatalf("ExploreAlg1: %v", err)
 			}
 			got := schedtest.AsCounts(agg)
 			if d := schedtest.Diff(got, want); d != "" {
@@ -89,11 +92,10 @@ func TestAlg1MemoMatchesExhaustive(t *testing.T) {
 // TestAlg1MemoPrefixUnion pins the sharded memoized mode: for every cut
 // depth, the memoized union over the Alg1Roots partition equals the
 // exhaustive whole-tree multiset — the property that lets a distributed
-// sweep adopt the reduced mode slice by slice.
+// sweep explore memoized slices.
 func TestAlg1MemoPrefixUnion(t *testing.T) {
 	k, inputs := 2, [2]uint64{0, 1}
 	want, runs := alg1Exhaustive(t, k, inputs)
-	leaf := func(ar *Alg1Run) any { return schedtest.Counts{alg1FP(ar): 1} }
 	for _, depth := range []int{0, 2, 4} {
 		roots, err := Alg1Roots(k, inputs, depth)
 		if err != nil {
@@ -104,7 +106,7 @@ func TestAlg1MemoPrefixUnion(t *testing.T) {
 		}
 
 		// One call over the whole partition.
-		agg, stats, err := ExploreAlg1MemoPrefixes(k, inputs, roots, leaf, schedtest.Merge)
+		agg, stats, err := ExploreAlg1(k, inputs, sched.Options{Roots: roots, Memo: true, Merge: schedtest.Merge}, alg1Leaf)
 		if err != nil {
 			t.Fatalf("depth %d: %v", depth, err)
 		}
@@ -119,7 +121,7 @@ func TestAlg1MemoPrefixUnion(t *testing.T) {
 		union := schedtest.Counts{}
 		total := 0
 		for _, root := range roots {
-			agg, stats, err := ExploreAlg1MemoPrefixes(k, inputs, [][]int{root}, leaf, schedtest.Merge)
+			agg, stats, err := ExploreAlg1(k, inputs, sched.Options{Roots: [][]int{root}, Memo: true, Merge: schedtest.Merge}, alg1Leaf)
 			if err != nil {
 				t.Fatalf("depth %d root %v: %v", depth, root, err)
 			}
@@ -139,22 +141,15 @@ func TestAlg1MemoPrefixUnion(t *testing.T) {
 
 // TestAlg1MemoAggregatesSpec runs the memoized sweep with a
 // specification-checking leaf: every visited execution must satisfy
-// 1/(2k+1)-agreement, mirroring how the experiment layer consumes the
-// reduced mode.
+// 1/(2k+1)-agreement, and a violation would stop the sweep with the
+// leaf's error.
 func TestAlg1MemoAggregatesSpec(t *testing.T) {
 	for _, tc := range alg1MemoGrid() {
-		var checkErr error
-		_, stats, err := ExploreAlg1Memo(tc.k, tc.inputs, func(ar *Alg1Run) any {
-			if checkErr == nil {
-				checkErr = ar.Check(tc.k)
-			}
-			return nil
-		}, nil)
+		_, stats, err := ExploreAlg1(tc.k, tc.inputs, sched.Options{Memo: true}, func(ar *Alg1Run) (any, error) {
+			return nil, ar.Check(tc.k)
+		})
 		if err != nil {
 			t.Fatalf("k=%d inputs=%v: %v", tc.k, tc.inputs, err)
-		}
-		if checkErr != nil {
-			t.Fatalf("k=%d inputs=%v: visited execution violates spec: %v", tc.k, tc.inputs, checkErr)
 		}
 		if stats.Executions == 0 {
 			t.Fatalf("k=%d inputs=%v: no executions", tc.k, tc.inputs)

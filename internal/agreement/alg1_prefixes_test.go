@@ -4,7 +4,19 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+
+	"repro/internal/sched"
 )
+
+// visitAlg1 explores the Algorithm 1 executions under roots (nil: the
+// whole tree) exhaustively and visits each one, returning the count.
+func visitAlg1(k int, inputs [2]uint64, roots [][]int, visit func(*Alg1Run)) (int, error) {
+	_, stats, err := ExploreAlg1(k, inputs, sched.Options{Roots: roots}, func(ar *Alg1Run) (any, error) {
+		visit(ar)
+		return nil, nil
+	})
+	return stats.Executions, err
+}
 
 // alg1Fingerprints collects a sorted fingerprint multiset of every
 // visited execution: the scheduler-decision sequence (the execution's
@@ -29,15 +41,15 @@ func alg1Fingerprints(t *testing.T, explore func(visit func(*Alg1Run)) (int, err
 	return fps
 }
 
-// TestAlg1PrefixUnionMatchesExplore: the union of ExploreAlg1Prefixes
-// over an Alg1Roots partition visits exactly the ExploreAlg1 execution
+// TestAlg1PrefixUnionMatchesExplore: the union of ExploreAlg1 runs
+// over an Alg1Roots partition visits exactly the whole-tree execution
 // set — the agreement-layer instance of the sched differential
 // property, on the protocol the sharded E2 experiment explores.
 func TestAlg1PrefixUnionMatchesExplore(t *testing.T) {
 	const k = 2
 	inputs := [2]uint64{0, 1}
 	want := alg1Fingerprints(t, func(visit func(*Alg1Run)) (int, error) {
-		return ExploreAlg1(k, inputs, visit)
+		return visitAlg1(k, inputs, nil, visit)
 	})
 	for _, depth := range []int{0, 1, 3, 6} {
 		roots, err := Alg1Roots(k, inputs, depth)
@@ -48,7 +60,7 @@ func TestAlg1PrefixUnionMatchesExplore(t *testing.T) {
 		for _, root := range roots {
 			root := root
 			union = append(union, alg1Fingerprints(t, func(visit func(*Alg1Run)) (int, error) {
-				return ExploreAlg1Prefixes(k, inputs, 2, [][]int{root}, visit)
+				return visitAlg1(k, inputs, [][]int{root}, visit)
 			})...)
 		}
 		sort.Strings(union)

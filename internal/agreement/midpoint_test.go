@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sched"
+	"repro/internal/sched/schedtest"
 )
 
 func TestMidpointExhaustiveTwoProcsOneRound(t *testing.T) {
@@ -23,7 +24,7 @@ func TestMidpointExhaustiveTwoProcsOneRound(t *testing.T) {
 				mp.Proc(inputs[1], &mr.Outs[1], &mr.Decided[1]),
 			}
 		}
-		runs, err := sched.ExploreAll(factory, 0, func(r *sched.Result) {
+		runs, err := schedtest.VisitAll(factory, 0, func(r *sched.Result) {
 			if e := r.Err(); e != nil {
 				t.Fatalf("inputs %v: %v", inputs, e)
 			}

@@ -56,7 +56,7 @@ import (
 const schemaVersion = 1
 
 // DefaultMaxBytes caps the store at 256 MiB unless Options.MaxBytes
-// overrides it — two orders of magnitude above a full E1–E15 table
+// overrides it — two orders of magnitude above a full E1–E16 table
 // set, so eviction only matters for long-lived shared directories.
 const DefaultMaxBytes = 256 << 20
 

@@ -19,6 +19,7 @@
 package consensus
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/agreement"
@@ -64,33 +65,33 @@ func RoundedAgreementProc(m *memory.Shared, k int, input uint64, out *uint64, de
 // processes on the path edge that straddles 1/2.
 func FindRoundingViolation(k int) (*Violation, error) {
 	inputs := [2]uint64{0, 1}
-	var outs [2]uint64
-	var decided [2]bool
-	factory := func() []sched.ProcFunc {
-		outs = [2]uint64{}
-		decided = [2]bool{}
+	var found *Violation
+	factory := func() sched.Instance {
+		var outs [2]uint64
+		var decided [2]bool
 		m := agreement.NewAlg1Memory()
-		return []sched.ProcFunc{
-			RoundedAgreementProc(m, k, inputs[0], &outs[0], &decided[0]),
-			RoundedAgreementProc(m, k, inputs[1], &outs[1], &decided[1]),
+		return sched.Instance{
+			Procs: []sched.ProcFunc{
+				RoundedAgreementProc(m, k, inputs[0], &outs[0], &decided[0]),
+				RoundedAgreementProc(m, k, inputs[1], &outs[1], &decided[1]),
+			},
+			Leaf: func(r *sched.Result) (any, error) {
+				if r.Err() != nil {
+					return nil, nil
+				}
+				if err := agreement.CheckConsensus(inputs[:], outs[:], decided[:]); err != nil {
+					sched := make([]int, len(r.Decisions))
+					for i, d := range r.Decisions {
+						sched[i] = d.Pid
+					}
+					found = &Violation{Inputs: inputs, Outs: outs, Schedule: sched, Reason: err.Error()}
+					return nil, errFound
+				}
+				return nil, nil
+			},
 		}
 	}
-	var found *Violation
-	_, err := sched.Explore(factory, 0, 0, func(r *sched.Result) bool {
-		if e := r.Err(); e != nil {
-			return true
-		}
-		if err := agreement.CheckConsensus(inputs[:], outs[:], decided[:]); err != nil {
-			sched := make([]int, len(r.Decisions))
-			for i, d := range r.Decisions {
-				sched[i] = d.Pid
-			}
-			found = &Violation{Inputs: inputs, Outs: outs, Schedule: sched, Reason: err.Error()}
-			return false
-		}
-		return true
-	})
-	if err != nil && err != sched.ErrExploreLimit {
+	if _, _, err := sched.Explore(factory, sched.Options{}); err != nil && !errors.Is(err, errFound) {
 		return nil, err
 	}
 	if found == nil {
@@ -98,6 +99,10 @@ func FindRoundingViolation(k int) (*Violation, error) {
 	}
 	return found, nil
 }
+
+// errFound stops FindRoundingViolation's exploration at the first
+// violating execution.
+var errFound = errors.New("consensus: violation found")
 
 // WaitingConsensusProcs is the 0-resilient protocol: process 0 decides
 // its input and publishes it; process 1 waits for it and adopts it. It

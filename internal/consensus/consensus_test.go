@@ -6,6 +6,7 @@ import (
 	"repro/internal/agreement"
 	"repro/internal/memory"
 	"repro/internal/sched"
+	"repro/internal/sched/schedtest"
 )
 
 func TestRoundingViolationExists(t *testing.T) {
@@ -71,7 +72,7 @@ func TestRoundingStillValid(t *testing.T) {
 			RoundedAgreementProc(m, k, inputs[1], &outs[1], &decided[1]),
 		}
 	}
-	_, err := sched.ExploreAll(factory, 0, func(r *sched.Result) {
+	_, err := schedtest.VisitAll(factory, 0, func(r *sched.Result) {
 		for i := 0; i < 2; i++ {
 			if decided[i] && outs[i] != 0 && outs[i] != 1 {
 				t.Fatalf("non-binary decision %d", outs[i])
@@ -99,7 +100,7 @@ func TestRoundingAgreesOnEqualInputs(t *testing.T) {
 				RoundedAgreementProc(m, k, inputs[1], &outs[1], &decided[1]),
 			}
 		}
-		_, err := sched.ExploreAll(factory, 0, func(r *sched.Result) {
+		_, err := schedtest.VisitAll(factory, 0, func(r *sched.Result) {
 			if err := agreement.CheckConsensus(inputs[:], outs[:], decided[:]); err != nil {
 				t.Fatalf("input %d: %v", x, err)
 			}
@@ -120,7 +121,7 @@ func TestWaitingConsensusCrashFree(t *testing.T) {
 			m := memory.New(2, 1)
 			return WaitingConsensusProcs(m, inputs, &outs, &decided)
 		}
-		_, err := sched.ExploreAll(factory, 0, func(r *sched.Result) {
+		_, err := schedtest.VisitAll(factory, 0, func(r *sched.Result) {
 			if e := r.Err(); e != nil {
 				t.Fatalf("inputs %v: %v", inputs, e)
 			}

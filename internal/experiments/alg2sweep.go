@@ -4,19 +4,20 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/sched"
 	"repro/internal/task"
 )
 
 // E15 is the exhaustive Algorithm 2 validation sweep in partial-run
-// form: Theorem 1.2 checked constructively by enumerating every
-// crash-free interleaving of the universal construction on one
-// solvable task and validating every execution's outputs against the
-// task specification (task.CheckRun). The space is a schedule tree
-// like E2's, so it shards the same way — task.Alg2Roots carves it,
-// task.ExploreAlg2Prefixes explores a slice, and the run count is the
-// order-insensitive aggregate (a violation in any slice surfaces as
-// that slice's error, so a merged success really did validate every
-// interleaving).
+// form: Theorem 1.2 checked constructively over every crash-free
+// interleaving of the universal construction on one solvable task,
+// each execution's outputs validated against the task specification
+// (task.CheckRun) — visited leaves directly, memo-pruned ones through
+// their canonical twins. The space is a schedule tree like E2's, so it
+// shards the same way — task.Alg2Roots carves it, task.ExploreAlg2
+// explores a slice, and the run count is the order-insensitive
+// aggregate (a violation in any slice surfaces as that slice's error,
+// so a merged success really did validate every interleaving).
 
 // e15Choice and e15Input pin E15's instance: Algorithm 2 on the
 // 2-value choice task with the mixed input (0, 1) — the input whose
@@ -95,20 +96,35 @@ func finishE15(a *alg2SweepAgg, choice int, input task.Pair) (*Table, error) {
 	return t, nil
 }
 
-// runE15At evaluates the E15 family whole at one (choice, input) point
-// — the Family.Run behind GET /experiments/E15?c=... Serial inner
-// exploration, like every engine-driven runner: the engine owns the
-// concurrency budget one level up.
-func runE15At(choice int, input task.Pair) (*Table, error) {
+// sweepAlg2 validates the Algorithm 2 schedule tree at (choice, input)
+// under roots (nil: the whole tree) through the canonical-state memo —
+// the one implementation behind E15's runner, family points and shard
+// slices.
+func sweepAlg2(choice int, input task.Pair, roots [][]int) (*alg2SweepAgg, sched.Stats, error) {
 	plan, err := e15Plan(choice)
 	if err != nil {
-		return nil, err
+		return nil, sched.Stats{}, err
 	}
-	execs, err := task.ExploreAlg2Prefixes(plan, input, 1, [][]int{{}})
+	stats, err := task.ExploreAlg2(plan, input, sched.Options{Roots: roots, Memo: true})
+	if err != nil {
+		return nil, stats, err
+	}
+	return &alg2SweepAgg{Execs: stats.Executions}, stats, nil
+}
+
+// runE15At evaluates the E15 family whole at one (choice, input) point
+// — the registry runner at the default point, and the Family.Run
+// behind GET /experiments/E15?c=...
+func runE15At(choice int, input task.Pair) (*Table, error) {
+	a, stats, err := sweepAlg2(choice, input, nil)
 	if err != nil {
 		return nil, err
 	}
-	return finishE15(&alg2SweepAgg{Execs: execs}, choice, input)
+	t, err := finishE15(a, choice, input)
+	if t != nil {
+		t.memo = stats
+	}
+	return t, err
 }
 
 // Theorem12Exhaustive (E15) runs the whole sweep through the same
@@ -123,9 +139,6 @@ func e15Shardable() Shardable {
 }
 
 // e15ShardableAt is the partial-run form at one (choice, input) point.
-// Explore fans out in-process (the slice is this worker's whole job,
-// so the concurrency budget is spent here, unlike the engine-driven
-// serial runner).
 func e15ShardableAt(choice int, input task.Pair) Shardable {
 	return Shardable{
 		Roots: func() ([][]int, error) {
@@ -136,15 +149,11 @@ func e15ShardableAt(choice int, input task.Pair) Shardable {
 			return task.Alg2Roots(plan, input, e15ShardDepth)
 		},
 		Explore: func(roots [][]int) (Aggregate, error) {
-			plan, err := e15Plan(choice)
+			a, _, err := sweepAlg2(choice, input, roots)
 			if err != nil {
 				return nil, err
 			}
-			execs, err := task.ExploreAlg2Prefixes(plan, input, 0, roots)
-			if err != nil {
-				return nil, err
-			}
-			return &alg2SweepAgg{Execs: execs}, nil
+			return a, nil
 		},
 		Decode: func(data []byte) (Aggregate, error) {
 			var a alg2SweepAgg

@@ -4,83 +4,37 @@ import (
 	"fmt"
 
 	"repro/internal/agreement"
-	"repro/internal/sched"
 )
 
-// E16 — the k = 5 Algorithm 1 exhaustive sweep — is the first
-// *heavy* experiment: registered for explicit -run requests but kept
-// out of the default registry sweep, because its ~88k-execution space
-// is only economical through the memoized explorer (the ROADMAP's
-// "k ≥ 5 sweeps want registering as opt-in workloads" item). It is
-// reduced-only: both the plain Runner and the ReducedRunner drive the
-// canonical-state memo — there is no exhaustive twin to fall back to —
-// so the reduced path is the single source of its bytes at every
-// worker count.
+// E16 is the k = 5 Algorithm 1 sweep: E2's exploration one step up the
+// k ladder, ~88k executions accounted by the canonical-state memo in a
+// few hundred replays.
 
 // e16K pins E16's instance: Algorithm 1 with k = 5 on the same (0, 1)
-// inputs as E2, one step up the k ladder from Figure 2.
+// inputs as E2.
 const e16K = 5
 
 var e16Inputs = [2]uint64{0, 1}
 
-// Heavy returns the opt-in heavy experiments by id: runnable whenever
-// named explicitly (-run E16, GET /experiments/E16) but excluded from
-// the default all-experiments sweep and from IDs().
-func Heavy() map[string]Runner {
-	return map[string]Runner{
-		"E16": AlgK5Sweep,
-	}
-}
-
-// HeavyFor returns the default heavy set for a registry choice: the
-// full Heavy() when reg is nil (the real registry), and nothing
-// otherwise — the same opt-in rule as ShardablesFor, so a registry
-// override never silently serves real heavy sweeps.
-func HeavyFor(reg map[string]Runner) map[string]Runner {
-	if reg == nil {
-		return Heavy()
-	}
-	return map[string]Runner{}
-}
-
-// HeavyIDs returns the heavy experiment ids in index order.
-func HeavyIDs() []string {
-	m := Heavy()
-	ids := make(map[string]Runner, len(m))
-	for id := range m {
-		ids[id] = nil
-	}
-	return sortIDs(ids)
-}
-
-// AlgK5Sweep is E16's Runner: the memoized k = 5 sweep at the default
-// worker fan-out. The bytes are identical at every worker count (the
-// parallel explorer's determinism contract), so the plain and reduced
-// paths render the same table.
-func AlgK5Sweep() (*Table, error) {
-	tab, _, err := AlgK5SweepReduced(0)
-	return tab, err
-}
-
-// AlgK5SweepReduced is E16's ReducedRunner: the k = 5 Algorithm 1
-// sweep through the (parallel) memoized explorer, aggregated and
+// AlgK5Sweep is E16's Runner: the memoized k = 5 sweep, aggregated and
 // rendered by the same collector/finish shape as E2.
-func AlgK5SweepReduced(workers int) (*Table, sched.MemoStats, error) {
-	agg, stats, err := agreement.ExploreAlg1MemoParallel(e16K, e16Inputs, workers, alg1LeafAgg, mergeAlg1Agg)
+func AlgK5Sweep() (*Table, error) {
+	a, stats, err := sweepAlg1(e16K, e16Inputs, nil)
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
-	a, _ := agg.(*alg1SweepAgg)
-	if a == nil {
-		a = &alg1SweepAgg{}
+	t, err := finishE16(a)
+	if t != nil {
+		t.memo = stats
 	}
-	tab, err := finishE16(a)
-	return tab, stats, err
+	return t, err
 }
 
 // finishE16 renders E16's table from a fully-merged sweep aggregate —
 // the finishE2 shape at the k = 5 point, under E16's own id so the
-// heavy sweep and the Figure 2 family stay distinct cache entries.
+// k = 5 sweep and the Figure 2 family stay distinct cache entries. The
+// title and notes keep their original wording: the bytes are part of
+// the cache identity (RegistryVersion).
 func finishE16(a *alg1SweepAgg) (*Table, error) {
 	den := agreement.Alg1Den(e16K)
 	t := &Table{

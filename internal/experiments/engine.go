@@ -28,13 +28,6 @@ type Options struct {
 	// stored, so errors are always recomputed. Cache write errors are
 	// ignored: caching is an optimisation, never a reason to fail a run.
 	Cache Cache
-	// Reduce runs the experiments that support it (Reduced()) through
-	// the canonical-state memoized explorer instead of the exhaustive
-	// sweep. Tables stay byte-identical; Result.Memo carries the
-	// explorer's counters. Reduced-capable experiments bypass Cache in
-	// this mode — the counters are the point of asking for it — while
-	// the rest of the registry runs (and caches) as usual.
-	Reduce bool
 }
 
 // Cache is the engine's view of a result store, keyed by experiment id.
@@ -64,12 +57,11 @@ type Result struct {
 	// runner executed. Like Duration it is not part of the wire form,
 	// so cached and fresh runs encode byte-identically.
 	Cached bool
-	// Reduced reports that the run went through the memoized explorer
-	// (Options.Reduce). Like Cached it is not part of the wire form:
-	// reduced and exhaustive runs encode byte-identically.
-	Reduced bool
-	// Memo carries the memoized exploration's counters when Reduced.
-	Memo sched.MemoStats
+	// Memo carries the counters of the memoized exploration a fresh run
+	// performed (E2, E15, E16); it is zero on a cache hit and for
+	// experiments that explore no schedule tree. Like Cached it is not
+	// part of the wire form.
+	Memo sched.Stats
 	// Duration is the experiment's wall-clock time.
 	Duration time.Duration
 }
@@ -103,12 +95,6 @@ func Run(ctx context.Context, opts Options) ([]Result, error) {
 	runners := make([]Runner, len(ids))
 	for i, id := range ids {
 		r, ok := reg[id]
-		if !ok {
-			// Heavy experiments resolve only when named explicitly —
-			// the default sweep above (sortIDs over the registry) never
-			// includes them — and only against the real registry.
-			r, ok = HeavyFor(opts.Registry)[id]
-		}
 		if !ok {
 			return nil, fmt.Errorf("experiments: unknown experiment %q", id)
 		}
@@ -144,46 +130,13 @@ func Run(ctx context.Context, opts Options) ([]Result, error) {
 }
 
 // runCached serves one experiment from opts.Cache when possible and
-// runs it (storing a success back) otherwise. Under Options.Reduce a
-// reduced-capable experiment runs fresh through the memoized explorer
-// — counters from a cache hit would be fiction — with the same panic
-// isolation and timeout as any other runner.
+// runs it (storing a success back) otherwise.
 func runCached(ctx context.Context, id string, r Runner, opts Options) Result {
-	if opts.Reduce {
-		if rr, ok := Reduced()[id]; ok {
-			// The memo explorer fans out over Jobs worker goroutines
-			// (<= 0 means GOMAXPROCS, the Options.Jobs default): -jobs
-			// controls both the experiment-level pool and, in reduced
-			// mode, the intra-exploration parallelism. Bytes are
-			// identical at every worker count.
-			workers := opts.Jobs
-			if workers <= 0 {
-				workers = runtime.GOMAXPROCS(0)
-			}
-			// The stats channel is buffered and written before the
-			// wrapped runner returns, so a successful runOne implies the
-			// value is already there; on timeout or cancellation it is
-			// simply never read.
-			statsCh := make(chan sched.MemoStats, 1)
-			wrapped := func() (*Table, error) {
-				tab, stats, err := rr(workers)
-				statsCh <- stats
-				return tab, err
-			}
-			res := runOne(ctx, id, wrapped, opts.Timeout)
-			select {
-			case stats := <-statsCh:
-				res.Reduced = true
-				res.Memo = stats
-			default:
-			}
-			return res
-		}
-	}
 	if opts.Cache != nil {
 		if res, ok := opts.Cache.Get(id); ok && res.Err == nil && res.Table != nil {
 			res.ID = id
 			res.Cached = true
+			res.Memo = sched.Stats{} // a hit explores nothing
 			return res
 		}
 	}
@@ -231,10 +184,11 @@ func runOne(ctx context.Context, id string, r Runner, timeout time.Duration) Res
 	}
 	select {
 	case o := <-ch:
-		if o.err != nil {
-			o.tab = nil
+		res := Result{ID: id, Err: o.err, Panicked: o.panicked, Duration: time.Since(start)}
+		if o.err == nil {
+			res.Table, res.Memo = o.tab, o.tab.memo
 		}
-		return Result{ID: id, Table: o.tab, Err: o.err, Panicked: o.panicked, Duration: time.Since(start)}
+		return res
 	case <-timer:
 		return Result{ID: id, Err: fmt.Errorf("timed out after %v: %w", timeout, context.DeadlineExceeded),
 			Duration: time.Since(start)}

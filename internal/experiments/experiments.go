@@ -1,5 +1,5 @@
 // Package experiments regenerates every figure and theorem-level claim of
-// the paper (the E1..E15 experiment index of DESIGN.md): each experiment
+// the paper (the E1..E16 experiment index of DESIGN.md): each experiment
 // returns a printable table whose rows are the series the paper reports.
 //
 // The concurrent execution engine (Run) drives the registry on a bounded
@@ -23,7 +23,7 @@
 // Options.Cache is the storage seam: a two-method Get/Put interface
 // consulted before each runner and updated after each success, with
 // failed results never stored. RegistryVersion names the current
-// experiment generation and must be bumped whenever output bytes could
+// experiment generation and must be bumped whenever output bytes
 // change; cache keys include it, so stale stores miss instead of lying.
 package experiments
 
@@ -32,11 +32,13 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/sched"
 )
 
 // Table is one experiment's output.
 type Table struct {
-	// ID is the experiment id of DESIGN.md (E1..E15).
+	// ID is the experiment id of DESIGN.md (E1..E16).
 	ID string
 	// Title names the paper object reproduced.
 	Title   string
@@ -44,6 +46,12 @@ type Table struct {
 	Rows    [][]string
 	// Notes records the claim checked and the verdict.
 	Notes []string
+
+	// memo carries the counters of the memoized exploration that
+	// produced the table (E2, E15, E16) from the runner to the engine,
+	// which copies them to Result.Memo. It is not part of any wire
+	// form, so a table decoded from the cache has none.
+	memo sched.Stats
 }
 
 // Runner produces a table.
@@ -51,10 +59,12 @@ type Runner func() (*Table, error)
 
 // RegistryVersion names the current generation of the experiment
 // definitions and is part of every cache key (internal/cache). Bump it
-// whenever any registered experiment's output bytes could change —
-// new or removed experiments, parameter sweeps, wording of titles,
-// headers, or notes — so stale cached tables are never served; old
-// entries simply stop matching and age out of the store.
+// only when some experiment's output bytes change — rows, parameter
+// sweeps, wording of titles, headers, or notes — so stale cached
+// tables are never served; old entries simply stop matching and age
+// out of the store. A change that keeps every table's bytes (a faster
+// explorer, an experiment moving into the default sweep) needs no
+// bump, and keeps every store warm.
 const RegistryVersion = "e1-e15/v1"
 
 // Registry maps experiment ids to runners.
@@ -75,6 +85,7 @@ func Registry() map[string]Runner {
 		"E13": Theorem12Fast,
 		"E14": Lemma23Substrates,
 		"E15": Theorem12Exhaustive,
+		"E16": AlgK5Sweep,
 	}
 }
 

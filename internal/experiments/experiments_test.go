@@ -7,10 +7,10 @@ import (
 
 func TestRegistryComplete(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 15 {
-		t.Fatalf("%d experiments registered, want 15", len(ids))
+	if len(ids) != 16 {
+		t.Fatalf("%d experiments registered, want 16", len(ids))
 	}
-	if ids[0] != "E1" || ids[14] != "E15" {
+	if ids[0] != "E1" || ids[15] != "E16" {
 		t.Fatalf("ids = %v", ids)
 	}
 }

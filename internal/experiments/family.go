@@ -9,10 +9,12 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/sched"
 )
 
 // This file is the parameterized-experiment seam. The paper's theorems
-// are families over (k, inputs, choice size, ...); the fixed E1..E15
+// are families over (k, inputs, choice size, ...); the fixed E1..E16
 // registry pins one point per family. A Family lifts that point into a
 // queryable surface: a validated parameter schema with types, ranges,
 // and defaults, a canonical parameter rendering (so ?i0=0&k=7 and
@@ -393,14 +395,14 @@ func putParam(c Cache, id, params string, r Result) {
 // engine's execution contract — cache read-through (ParamCache when
 // the store supports it), panic isolation, timeout — and returns the
 // point's Result. Only Timeout and Cache of opts are consulted: a
-// parameter point is a single execution, so Jobs/IDs/Reduce do not
-// apply (reduction is pinned to the fixed registry points).
+// parameter point is a single execution, so Jobs/IDs do not apply.
 func RunParam(ctx context.Context, f Family, ps ParamSet, opts Options) Result {
 	id := f.ID
 	params := ps.Canonical()
 	if res, ok := getParam(opts.Cache, id, params); ok && res.Err == nil && res.Table != nil {
 		res.ID = id
 		res.Cached = true
+		res.Memo = sched.Stats{} // a hit explores nothing
 		return res
 	}
 	res := runOne(ctx, id, func() (*Table, error) { return f.Run(ps) }, opts.Timeout)
@@ -412,7 +414,7 @@ func RunParam(ctx context.Context, f Family, ps ParamSet, opts Options) Result {
 
 // --- the registered families ---
 
-// e2Family is E2's space: the exhaustive Algorithm 1 sweep over the
+// e2Family is E2's space: the Algorithm 1 schedule-tree sweep over the
 // ε-agreement parameter k and the two processes' input registers. The
 // default point (k=4, inputs (0,1)) is Figure 2.
 func e2Family() Family {

@@ -194,9 +194,6 @@ func TestParseParamListErrors(t *testing.T) {
 // the fixed registry table byte-for-byte (same rendering path, same
 // bytes — the alias is real, not approximate).
 func TestE2FamilyDifferentialDefaultPoint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exhaustive k=4 sweep in -short mode")
-	}
 	fam := Families()["E2"]
 	ps, err := DefaultParams(fam)
 	if err != nil {
@@ -216,9 +213,6 @@ func TestE2FamilyDifferentialDefaultPoint(t *testing.T) {
 }
 
 func TestE15FamilyDifferentialDefaultPoint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exhaustive Algorithm 2 sweep in -short mode")
-	}
 	fam := Families()["E15"]
 	ps, err := DefaultParams(fam)
 	if err != nil {

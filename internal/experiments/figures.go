@@ -47,18 +47,13 @@ func Figure1Summary() (*Table, error) {
 	return t, nil
 }
 
-// Figure2Executions (E2) enumerates Algorithm 1 with k = 4 and inputs
-// (0,1): the execution count, the decision range coverage, and the
-// worst co-final distance — Figure 2's structure. The table derives
-// from the same aggregate-and-finish path (shardable.go) a
-// prefix-sharded run merges through, so both emit identical bytes.
+// Figure2Executions (E2) explores every interleaving of Algorithm 1
+// with k = 4 and inputs (0,1) through the canonical-state memo: the
+// execution count, the decision range coverage, and the worst co-final
+// distance — Figure 2's structure. The table derives from the same
+// aggregate-and-finish path (shardable.go) a prefix-sharded run merges
+// through, so both emit identical bytes.
 func Figure2Executions() (*Table, error) {
-	// Serial exploration: the engine already runs experiments
-	// concurrently, so the concurrency budget is spent one level up —
-	// this keeps -jobs 1 a true serial baseline and -jobs N free of
-	// nested worker pools. Standalone callers wanting the fan-out use
-	// agreement.ExploreAlg1Parallel directly; sharded slices go
-	// through Shardables()["E2"].Explore.
 	return runE2At(e2K, e2Inputs)
 }
 
@@ -123,7 +118,7 @@ func Theorem11Pigeonhole() (*Table, error) {
 		})
 	}
 	for _, k := range []int{2, 3, 4} {
-		c, err := impossibility.WorstCollision(k, 1)
+		c, err := impossibility.WorstCollision(k)
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +127,7 @@ func Theorem11Pigeonhole() (*Table, error) {
 			fmt.Sprintf("%d units of ε (mem %v)", c.Gap(), c.Mem),
 		})
 	}
-	g, err := impossibility.BuildAlg1Graph(3, 1)
+	g, err := impossibility.BuildAlg1Graph(3)
 	if err != nil {
 		return nil, err
 	}

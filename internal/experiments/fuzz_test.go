@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/agreement"
+	"repro/internal/sched"
 )
 
 // FuzzDecodeJSON: arbitrary bytes fed to the results decoder must
@@ -101,14 +102,14 @@ func FuzzPrefixesMemoExplore(f *testing.F) {
 		}
 
 		fuzzAlg1Full.Do(func() {
-			_, stats, err := agreement.ExploreAlg1Memo(1, [2]uint64{0, 1}, nil, nil)
+			_, stats, err := agreement.ExploreAlg1(1, [2]uint64{0, 1}, sched.Options{Memo: true}, nil)
 			fuzzAlg1Full.execs, fuzzAlg1Full.err = stats.Executions, err
 		})
 		if fuzzAlg1Full.err != nil {
 			t.Fatalf("whole-tree baseline failed: %v", fuzzAlg1Full.err)
 		}
 
-		_, stats, err := agreement.ExploreAlg1MemoPrefixes(1, [2]uint64{0, 1}, roots, nil, nil)
+		_, stats, err := agreement.ExploreAlg1(1, [2]uint64{0, 1}, sched.Options{Roots: roots, Memo: true}, nil)
 		if err != nil {
 			return // dead or unreplayable prefix: rejected, not panicked
 		}

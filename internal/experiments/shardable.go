@@ -9,10 +9,11 @@ import (
 	"strings"
 
 	"repro/internal/agreement"
+	"repro/internal/sched"
 )
 
 // This file is the partial-run seam: the contract that lets one
-// experiment's exhaustive exploration be split across machines. A
+// experiment's schedule-tree exploration be split across machines. A
 // prefix-shardable experiment decomposes into an order-insensitive
 // Aggregate computed over any subset of its schedule-prefix partition
 // (sched.PartitionRoots); aggregates merge associatively and
@@ -276,8 +277,8 @@ const (
 
 var e2Inputs = [2]uint64{0, 1}
 
-// alg1SweepAgg is the order-insensitive aggregate of an exhaustive
-// Algorithm 1 exploration — everything E2's table derives from. Seen
+// alg1SweepAgg is the order-insensitive aggregate of an Algorithm 1
+// schedule-tree exploration — everything E2's table derives from. Seen
 // is kept sorted; Merge is a union/sum/max fold, so slices combine in
 // any grouping to the same value.
 type alg1SweepAgg struct {
@@ -325,9 +326,8 @@ func unionSorted(a, b []int) []int {
 	return out
 }
 
-// alg1Collector accumulates an alg1SweepAgg from explorer visits. The
-// visit method is called under the explorer's lock (or serially), so
-// no further synchronization is needed.
+// alg1Collector accumulates an alg1SweepAgg from explorer visits, one
+// execution at a time.
 type alg1Collector struct {
 	execs    int
 	seen     map[int]bool
@@ -392,14 +392,60 @@ func finishE2(a *alg1SweepAgg, k int, inputs [2]uint64) (*Table, error) {
 	return t, nil
 }
 
+// alg1LeafAgg extracts one execution's contribution to an Algorithm 1
+// sweep aggregate: a fresh single-run alg1SweepAgg built through the
+// collector. It is determined by the run's final state (outputs,
+// per-process step counts) and invariant under process relabelling
+// (set union, absolute difference, max), as the memo contract
+// requires.
+func alg1LeafAgg(ar *agreement.Alg1Run) (any, error) {
+	c := newAlg1Collector()
+	c.visit(ar)
+	return c.agg(), nil
+}
+
+// mergeAlg1Agg is the pure sched.Options.Merge over Algorithm 1 sweep
+// aggregates: it folds both into a fresh zero aggregate, leaving the
+// arguments — live memo entries — untouched. (alg1SweepAgg.Merge
+// mutates its receiver, which is why the explorer merges into a clone.)
+func mergeAlg1Agg(a, b any) any {
+	out := &alg1SweepAgg{}
+	out.Merge(a.(*alg1SweepAgg))
+	out.Merge(b.(*alg1SweepAgg))
+	return out
+}
+
+// sweepAlg1 explores the Algorithm 1 schedule tree at (k, inputs)
+// under roots (nil: the whole tree) through the canonical-state memo
+// and returns the sweep aggregate with the explorer's counters — the
+// one implementation behind E2's runner, its family points and shard
+// slices, and E16.
+func sweepAlg1(k int, inputs [2]uint64, roots [][]int) (*alg1SweepAgg, sched.Stats, error) {
+	opts := sched.Options{Roots: roots, Memo: true, Merge: mergeAlg1Agg}
+	agg, stats, err := agreement.ExploreAlg1(k, inputs, opts, alg1LeafAgg)
+	if err != nil {
+		return nil, stats, err
+	}
+	a, _ := agg.(*alg1SweepAgg)
+	if a == nil {
+		a = &alg1SweepAgg{Seen: []int{}}
+	}
+	return a, stats, nil
+}
+
 // runE2At evaluates the E2 family whole at one (k, inputs) point —
-// the Family.Run behind GET /experiments/E2?k=...
+// the registry runner at the default point, and the Family.Run behind
+// GET /experiments/E2?k=...
 func runE2At(k int, inputs [2]uint64) (*Table, error) {
-	col := newAlg1Collector()
-	if _, err := agreement.ExploreAlg1(k, inputs, col.visit); err != nil {
+	a, stats, err := sweepAlg1(k, inputs, nil)
+	if err != nil {
 		return nil, err
 	}
-	return finishE2(col.agg(), k, inputs)
+	t, err := finishE2(a, k, inputs)
+	if t != nil {
+		t.memo = stats
+	}
+	return t, err
 }
 
 // e2Shardable is E2's partial-run form at the fixed registry point.
@@ -408,20 +454,17 @@ func e2Shardable() Shardable {
 }
 
 // e2ShardableAt is the partial-run form at one (k, inputs) point.
-// Explore fans out in-process (the slice is this worker's whole job,
-// so the concurrency budget is spent here, unlike the engine-driven
-// serial runner).
 func e2ShardableAt(k int, inputs [2]uint64) Shardable {
 	return Shardable{
 		Roots: func() ([][]int, error) {
 			return agreement.Alg1Roots(k, inputs, e2ShardDepth)
 		},
 		Explore: func(roots [][]int) (Aggregate, error) {
-			col := newAlg1Collector()
-			if _, err := agreement.ExploreAlg1Prefixes(k, inputs, 0, roots, col.visit); err != nil {
+			a, _, err := sweepAlg1(k, inputs, roots)
+			if err != nil {
 				return nil, err
 			}
-			return col.agg(), nil
+			return a, nil
 		},
 		Decode: func(data []byte) (Aggregate, error) {
 			var a alg1SweepAgg

@@ -114,14 +114,15 @@ func RunAlg5(inputs []int, scheduler sched.Scheduler) (*Alg5System, *sched.Resul
 // ExploreAlg5 enumerates all interleavings (feasible for n = 2) and calls
 // visit on each completed system.
 func ExploreAlg5(inputs []int, visit func(*Alg5System, *sched.Result)) (int, error) {
-	var sys *Alg5System
-	factory := func() []sched.ProcFunc {
-		sys = NewAlg5System(inputs)
-		return sys.Procs()
+	factory := func() sched.Instance {
+		sys := NewAlg5System(inputs)
+		return sched.Instance{Procs: sys.Procs(), Leaf: func(r *sched.Result) (any, error) {
+			visit(sys, r)
+			return nil, nil
+		}}
 	}
-	return sched.ExploreAll(factory, 0, func(r *sched.Result) {
-		visit(sys, r)
-	})
+	_, stats, err := sched.Explore(factory, sched.Options{})
+	return stats.Executions, err
 }
 
 // CheckImmediateSnapshots validates the immediate-snapshot properties of

@@ -75,13 +75,13 @@ func RunICFullInfo(u *Universe, inputs []int, scheduler sched.Scheduler) (Config
 // Algorithm 3 (feasible for n = 2 and small k) and calls visit with each
 // final configuration.
 func ExploreICFullInfo(u *Universe, inputs []int, visit func(Config, *sched.Result)) (int, error) {
-	var final Config
-	factory := func() []sched.ProcFunc {
-		var procs []sched.ProcFunc
-		procs, final = icSystem(u, inputs)
-		return procs
+	factory := func() sched.Instance {
+		procs, final := icSystem(u, inputs)
+		return sched.Instance{Procs: procs, Leaf: func(r *sched.Result) (any, error) {
+			visit(final, r)
+			return nil, nil
+		}}
 	}
-	return sched.ExploreAll(factory, 0, func(r *sched.Result) {
-		visit(final, r)
-	})
+	_, stats, err := sched.Explore(factory, sched.Options{})
+	return stats.Executions, err
 }

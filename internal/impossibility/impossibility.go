@@ -26,6 +26,7 @@ import (
 	"sort"
 
 	"repro/internal/agreement"
+	"repro/internal/sched"
 )
 
 // Vertex is a final protocol state in the execution graph: process Pid
@@ -48,24 +49,22 @@ type ExecutionGraph struct {
 }
 
 // explore enumerates every interleaving of Algorithm 1 with inputs
-// (0,1) on a workers-wide goroutine fan-out: workers <= 0 uses every
-// core, 1 is effectively serial. The concurrency budget is the caller's
-// to spend — standalone analysis (and this package's tests) pass 0,
-// while the experiment engine passes 1 because it already runs whole
-// experiments concurrently. The visitors in this package only aggregate
-// into maps, sets, and extrema — all order-insensitive — so the
-// nondeterministic visit order of the parallel explorer cannot leak
-// into any result.
-func explore(k, workers int, visit func(*agreement.Alg1Run)) (int, error) {
-	return agreement.ExploreAlg1Parallel(k, [2]uint64{0, 1}, workers, visit)
+// (0,1) exhaustively, visiting each execution: the analyses here read
+// per-execution facts (co-occurring decisions, final register
+// contents), which the memoized explorer does not visit one by one.
+func explore(k int, visit func(*agreement.Alg1Run)) (int, error) {
+	_, stats, err := agreement.ExploreAlg1(k, [2]uint64{0, 1}, sched.Options{}, func(ar *agreement.Alg1Run) (any, error) {
+		visit(ar)
+		return nil, nil
+	})
+	return stats.Executions, err
 }
 
 // BuildAlg1Graph enumerates every interleaving of Algorithm 1 with
-// k rounds and inputs (0,1), building the execution graph. workers sets
-// the exploration fan-out (see explore).
-func BuildAlg1Graph(k, workers int) (*ExecutionGraph, error) {
+// k rounds and inputs (0,1), building the execution graph.
+func BuildAlg1Graph(k int) (*ExecutionGraph, error) {
 	g := &ExecutionGraph{K: k, Den: agreement.Alg1Den(k), Adj: map[Vertex]map[Vertex]bool{}}
-	runs, err := explore(k, workers, func(ar *agreement.Alg1Run) {
+	runs, err := explore(k, func(ar *agreement.Alg1Run) {
 		if !ar.Decided[0] || !ar.Decided[1] {
 			return
 		}
@@ -154,16 +153,15 @@ type Collision struct {
 func (c Collision) Gap() int { return c.MaxNum - c.MinNum }
 
 // FindCollisions enumerates Algorithm 1 executions with inputs (0,1) and
-// groups them by final memory state, sorted by descending gap. workers
-// sets the exploration fan-out (see explore).
-func FindCollisions(k, workers int) ([]Collision, error) {
+// groups them by final memory state, sorted by descending gap.
+func FindCollisions(k int) ([]Collision, error) {
 	type bucket struct {
 		pairs map[[2]int]bool
 		lo    int
 		hi    int
 	}
 	buckets := map[MemoryState]*bucket{}
-	_, err := explore(k, workers, func(ar *agreement.Alg1Run) {
+	_, err := explore(k, func(ar *agreement.Alg1Run) {
 		if !ar.Decided[0] || !ar.Decided[1] {
 			return
 		}
@@ -215,9 +213,8 @@ func FindCollisions(k, workers int) ([]Collision, error) {
 }
 
 // WorstCollision returns the memory state with the largest output gap.
-// workers sets the exploration fan-out (see explore).
-func WorstCollision(k, workers int) (Collision, error) {
-	cs, err := FindCollisions(k, workers)
+func WorstCollision(k int) (Collision, error) {
+	cs, err := FindCollisions(k)
 	if err != nil {
 		return Collision{}, err
 	}
@@ -232,12 +229,11 @@ func WorstCollision(k, workers int) (Collision, error) {
 // is exactly the adjacent pair {m, m+1} (over denominator 2k+1). This is
 // the family of mutually exclusive output classes the pigeonhole
 // argument counts. It returns achieved[m] for m = 0..2k-? — precisely,
-// index m reports the pair {m, m+1}. workers sets the exploration
-// fan-out (see explore).
-func AchievableOutputSets(k, workers int) ([]bool, error) {
+// index m reports the pair {m, m+1}.
+func AchievableOutputSets(k int) ([]bool, error) {
 	den := agreement.Alg1Den(k)
 	achieved := make([]bool, den) // pair {m, m+1} for m = 0..den-1
-	_, err := explore(k, workers, func(ar *agreement.Alg1Run) {
+	_, err := explore(k, func(ar *agreement.Alg1Run) {
 		if !ar.Decided[0] || !ar.Decided[1] {
 			return
 		}

@@ -8,7 +8,7 @@ func TestExecutionGraphConnected(t *testing.T) {
 	// §3.1: the two solo vertices must be connected — otherwise the two
 	// processes would solve consensus (Lemma 2.1).
 	for k := 1; k <= 4; k++ {
-		g, err := BuildAlg1Graph(k, 0)
+		g, err := BuildAlg1Graph(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -27,7 +27,7 @@ func TestExecutionGraphPathLength(t *testing.T) {
 	// The path carries outputs from 0 to 1 in ε = 1/(2k+1) hops, so its
 	// length is at least 1/ε = 2k+1.
 	for k := 1; k <= 4; k++ {
-		g, err := BuildAlg1Graph(k, 0)
+		g, err := BuildAlg1Graph(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestExecutionGraphPathLength(t *testing.T) {
 func TestExecutionGraphEdgesRespectEps(t *testing.T) {
 	// Every edge joins decisions at most ε apart (the protocol is
 	// correct), so consecutive path outputs differ by ≤ 1 numerator unit.
-	g, err := BuildAlg1Graph(3, 0)
+	g, err := BuildAlg1Graph(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestCollisionsPigeonhole(t *testing.T) {
 	// With 1-bit registers there are at most 2^2 = 4 memory states, so
 	// for every k the executions fall into ≤ 4 buckets.
 	for k := 1; k <= 4; k++ {
-		cs, err := FindCollisions(k, 0)
+		cs, err := FindCollisions(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestCollisionForcedBeyondThreshold(t *testing.T) {
 	// states (2k+1 > 2^{2s+1} = 8, i.e. k ≥ 4), some memory state is
 	// shared by executions whose outputs are ≥ 2 units apart — a late
 	// third process is forced ≥ 2ε from one of them.
-	c, err := WorstCollision(4, 0)
+	c, err := WorstCollision(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestCollisionGapGrowsWithPrecision(t *testing.T) {
 	}
 	gaps := map[int]int{}
 	for _, k := range []int{2, 4, 6} {
-		c, err := WorstCollision(k, 0)
+		c, err := WorstCollision(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestClaim41AchievableOutputSets(t *testing.T) {
 	// is the exact output set of some 2-process execution — these are
 	// the mutually exclusive classes the pigeonhole argument counts.
 	for _, k := range []int{2, 3, 4} {
-		achieved, err := AchievableOutputSets(k, 0)
+		achieved, err := AchievableOutputSets(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,11 +176,11 @@ func TestClaim41AchievableOutputSets(t *testing.T) {
 }
 
 func TestCollisionReportsDeterministic(t *testing.T) {
-	a, err := FindCollisions(3, 0)
+	a, err := FindCollisions(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FindCollisions(3, 0)
+	b, err := FindCollisions(3)
 	if err != nil {
 		t.Fatal(err)
 	}

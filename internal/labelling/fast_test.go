@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/agreement"
 	"repro/internal/sched"
+	"repro/internal/sched/schedtest"
 )
 
 var fastInputPairs = [][2]uint64{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
@@ -53,7 +54,7 @@ func TestFastAgreementExhaustiveSmall(t *testing.T) {
 				fa.Proc(m, inputs[1], &fr.Outs[1], &fr.Decided[1]),
 			}
 		}
-		runs, err := sched.ExploreAll(factory, 0, func(r *sched.Result) {
+		runs, err := schedtest.VisitAll(factory, 0, func(r *sched.Result) {
 			if e := r.Err(); e != nil {
 				t.Fatalf("inputs %v: %v", inputs, e)
 			}

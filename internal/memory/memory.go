@@ -5,7 +5,7 @@
 // scheduler step per atomic operation.
 //
 // The memory is also the canonical-state seam of the memoized explorer
-// (sched.ExploreMemo): alongside the register contents it maintains one
+// (sched.Explore, Options.Memo): alongside the register contents it maintains one
 // rolling observation-history hash per process. A deterministic process
 // is a function of its parameters and the sequence of values it has
 // observed, so (register contents, per-process history hashes) is a

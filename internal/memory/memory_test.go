@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/register"
 	"repro/internal/sched"
+	"repro/internal/sched/schedtest"
 )
 
 func TestSharedBoundedInit(t *testing.T) {
@@ -228,7 +229,7 @@ func TestMemInterleavedVisibility(t *testing.T) {
 			},
 		}
 	}
-	runs, err := sched.ExploreAll(factory, 0, func(r *sched.Result) {
+	runs, err := schedtest.VisitAll(factory, 0, func(r *sched.Result) {
 		if e := r.Err(); e != nil {
 			t.Errorf("execution failed: %v", e)
 		}

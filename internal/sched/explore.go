@@ -3,261 +3,245 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 )
 
-// Explore enumerates every crash-free interleaving of a deterministic
-// system and calls visit on each complete execution. Because processes are
-// deterministic, the execution space is the tree of scheduler choices; the
-// explorer walks it by replay DFS, re-running the system once per leaf
-// with a forced prefix of choices.
-//
-// factory must build a fresh, deterministic instance of the system (fresh
-// shared memory and process closures) on every call.
-//
-// Explore stops early and returns ErrExploreLimit if more than maxRuns
-// executions are visited (maxRuns <= 0 means no limit). If visit returns
-// false, exploration stops without error.
-func Explore(factory func() []ProcFunc, maxSteps, maxRuns int, visit func(*Result) bool) (int, error) {
-	runs := 0
-	var dfs func(prefix []int) (bool, error)
-	dfs = func(prefix []int) (bool, error) {
-		if maxRuns > 0 && runs >= maxRuns {
-			return false, ErrExploreLimit
-		}
-		sch := &Replay{Prefix: prefix}
-		res, err := Run(Config{Scheduler: sch, MaxSteps: maxSteps}, factory())
-		if err != nil {
-			return false, err
-		}
-		runs++
-		if !visit(res) {
-			return false, nil
-		}
-		cont, cerr := true, error(nil)
-		expandBranches(res, len(prefix), func(branch []int) bool {
-			cont, cerr = dfs(branch)
-			return cont && cerr == nil
-		})
-		return cont, cerr
-	}
-	_, err := dfs(nil)
-	return runs, err
+// Instance is one fresh build of a deterministic system for Explore:
+// the process closures plus the seams the explorer reads the run
+// through.
+type Instance struct {
+	// Procs are the process closures.
+	Procs []ProcFunc
+	// State fingerprints the instance's current global state. It is
+	// called by the memoized explorer only while every live process is
+	// parked between steps (from the scheduler's Next hook, and once
+	// after the run completes), so it may read shared state freely.
+	// Required when Options.Memo is set; unused otherwise.
+	State func() StateKey
+	// Leaf extracts one complete execution's contribution to the
+	// exploration's aggregate. The Result is pooled — Leaf must not
+	// retain it or its slices — and the returned value may become
+	// shared immutable memo state: it must be fresh on every call,
+	// must be determined by the leaf's canonical state, and is never
+	// mutated by the explorer afterwards. A non-nil error stops the
+	// exploration, and Explore returns it. Nil Leaf — or a Leaf that
+	// only validates, returning nil contributions — explores for the
+	// counts alone.
+	Leaf func(*Result) (any, error)
 }
 
-// ErrExploreLimit reports that Explore hit its maxRuns bound.
-var ErrExploreLimit = fmt.Errorf("sched: exploration run limit reached")
+// Options configures Explore.
+type Options struct {
+	// Roots restricts the exploration to the subtrees under these
+	// forced schedule prefixes: the aggregate covers exactly the
+	// executions whose decision sequence extends one of them, each
+	// counted once. Roots must be live prefixes of the system's
+	// decision tree, none a strict prefix of another — exactly what
+	// PartitionRoots returns (any subset or regrouping of one
+	// partition qualifies). A root the scheduler cannot follow fails
+	// the exploration with ErrPrefixNotLive rather than silently
+	// exploring a different subtree. Nil means the whole tree; a
+	// non-nil empty slice explores nothing.
+	Roots [][]int
+	// Memo selects the canonical-state memoized explorer: a replay DFS
+	// that stores each subtree's merged contribution under
+	// (Instance.State, depth) and reuses it wherever an equivalent node
+	// recurs, replaying once per distinct node instead of once per
+	// leaf. Without it, Explore is the exhaustive replay DFS — one
+	// replay per execution and Leaf on every one of them — which is
+	// the independent oracle the memoized mode is checked against.
+	Memo bool
+	// MaxSteps bounds each replay as in Config (0 = DefaultMaxSteps).
+	MaxSteps int
+	// Merge combines two contributions into a new value. It must be
+	// pure — no mutation of either argument (memoized contributions of
+	// other nodes stay live) — and associative and commutative up to
+	// the final aggregate's equality. Required whenever Leaf returns
+	// non-nil contributions.
+	Merge func(a, b any) any
+}
 
-// ErrPrefixNotLive reports that a forced prefix handed to
-// ExplorePrefixes is not a live path of the system's decision tree —
-// some forced pid was not enabled at its turn, so Replay substituted
-// another process and the run left the claimed subtree. Serving such
-// a run would double-count executions, so it is an error instead.
+// Stats counts the work an exploration did.
+type Stats struct {
+	// Executions is the number of complete executions the aggregate
+	// accounts for — the leaves of the exhaustive schedule tree.
+	Executions int
+	// Replays is the number of system runs actually performed: one per
+	// execution exhaustively, one per explored node (halted early on
+	// memo hits) when memoized.
+	Replays int
+	// StatesVisited is the number of distinct (canonical state, depth)
+	// nodes stored in the memo (0 exhaustively).
+	StatesVisited int
+	// StatesPruned is the number of subtrees reused from the memo
+	// instead of re-explored (0 exhaustively).
+	StatesPruned int
+}
+
+// ErrPrefixNotLive reports that a forced prefix handed to Explore is
+// not a live path of the decision tree — some forced pid was not
+// enabled at its turn, so Replay substituted another process and the
+// run left the claimed subtree. Serving such a run would double-count
+// executions, so it is an error instead.
 var ErrPrefixNotLive = errors.New("sched: forced prefix is not a live path of the decision tree")
 
-// expandBranches enumerates the child prefixes of a completed execution:
-// one per scheduler branch not taken after the forced prefix, deepest
-// decision point first (ordering is irrelevant for coverage). It stops
-// early if emit returns false. The serial and parallel explorers share
-// this rule — that is what makes their coverage identical.
-func expandBranches(res *Result, prefixLen int, emit func([]int) bool) {
-	expandBranchesAlloc(res, prefixLen, func(n int) []int { return make([]int, n) }, emit)
-}
+// errMemoState reports a memoized exploration without the State seam.
+var errMemoState = errors.New("sched: Instance.State is required for memoized exploration")
 
-// expandBranchesAlloc is expandBranches with a caller-supplied buffer
-// allocator, letting the frontier loop recycle spent prefix buffers
-// instead of allocating one per branch.
-func expandBranchesAlloc(res *Result, prefixLen int, alloc func(int) []int, emit func([]int) bool) {
-	for i := len(res.Decisions) - 1; i >= prefixLen; i-- {
-		chosen := res.Decisions[i].Pid
-		for _, alt := range res.EnabledSets[i] {
-			if alt <= chosen {
-				continue
-			}
-			branch := alloc(i + 1)
-			for j := 0; j < i; j++ {
-				branch[j] = res.Decisions[j].Pid
-			}
-			branch[i] = alt
-			if !emit(branch) {
-				return
-			}
-		}
+// Explore walks every crash-free interleaving of a deterministic
+// system under opts.Roots and returns the merged Leaf contributions,
+// the exploration counters, and the first error. Because processes are
+// deterministic, the execution space is the tree of scheduler choices;
+// both modes walk it by replay DFS, re-running the system with a forced
+// prefix of choices. factory must build a fresh, fully independent
+// instance (fresh shared memory and closures) on every call.
+func Explore(factory func() Instance, opts Options) (any, Stats, error) {
+	roots := opts.Roots
+	if roots == nil {
+		roots = [][]int{{}}
 	}
-}
-
-// ExploreAll is Explore with visit always continuing and no run limit.
-func ExploreAll(factory func() []ProcFunc, maxSteps int, visit func(*Result)) (int, error) {
-	return Explore(factory, maxSteps, 0, func(r *Result) bool {
-		visit(r)
-		return true
-	})
-}
-
-// Instance is one fresh system build for the parallel explorer: the
-// process closures plus a completion callback receiving the run's Result.
-// Done is always invoked under the explorer's lock, so its body may
-// mutate shared state without further synchronization. The Result is
-// pooled: the explorer reuses it for the worker's next replay as soon
-// as Done returns, so Done must copy anything it wants to keep (values
-// read out of Steps/Outs-style fields are fine; retaining the *Result
-// or its slices is not).
-type Instance struct {
-	Procs []ProcFunc
-	Done  func(*Result)
-}
-
-// DefaultExploreWorkers is the fan-out ExploreParallel uses when workers
-// is zero or negative.
-func DefaultExploreWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// ExploreParallel enumerates exactly the executions ExploreAll visits,
-// fanning the replay DFS out over disjoint schedule prefixes with a
-// bounded pool of worker goroutines. The frontier is a shared stack of
-// forced prefixes: a worker pops a prefix, replays one execution under
-// it, reports the result, and pushes one child prefix per untaken
-// scheduler branch — the same branching rule as the serial DFS, so
-// every interleaving is visited exactly once.
-//
-// factory is called once per execution, possibly from several
-// goroutines concurrently, and must build a fully independent system
-// (fresh shared memory and closures). Each instance's Done callback
-// runs serially under a global lock, but in nondeterministic order:
-// only order-insensitive aggregations produce deterministic results.
-//
-// On an execution error the explorer drains and returns the first
-// error; visits already made are not undone. workers <= 0 means
-// DefaultExploreWorkers.
-func ExploreParallel(factory func() Instance, maxSteps, workers int) (int, error) {
-	return ExplorePrefixes(factory, maxSteps, workers, [][]int{{}})
-}
-
-// ExplorePrefixes is ExploreParallel restricted to the subtrees under
-// the given forced prefixes: it visits exactly the executions whose
-// scheduler-decision sequence extends one of roots. With the single
-// empty prefix it is ExploreParallel; with a PartitionRoots partition
-// split across calls (or machines), the union of all visits is exactly
-// the ExploreAll execution set, each execution visited once — the
-// property the distributed sharding layers are built on.
-//
-// Roots must be live prefixes of the system's decision tree, none a
-// strict prefix of another — exactly what PartitionRoots returns (any
-// subset or regrouping of one partition qualifies). A root the
-// scheduler cannot follow (a forced pid not enabled at its turn)
-// fails the exploration with ErrPrefixNotLive rather than silently
-// exploring a different subtree; overlap between roots remains the
-// caller's contract. An empty roots slice explores nothing and
-// returns 0.
-func ExplorePrefixes(factory func() Instance, maxSteps, workers int, roots [][]int) (int, error) {
-	if len(roots) == 0 {
-		return 0, nil
+	e := &explorer{factory: factory, opts: opts}
+	if opts.Memo {
+		e.memo = make(map[memoKey]memoEntry)
 	}
-	if workers <= 0 {
-		workers = DefaultExploreWorkers()
-	}
-
-	var (
-		mu       sync.Mutex
-		cond     = sync.NewCond(&mu)
-		frontier [][]int
-		freeBufs [][]int // spent prefix buffers, recycled for branches (mu held)
-		pending  int     // prefixes popped but not yet expanded, plus frontier
-		runs     int
-		firstErr error
-	)
-	// Copy the seed roots into explorer-owned buffers so every prefix
-	// in the frontier — seed or expanded branch — can be recycled
-	// without aliasing caller memory.
+	var total any
 	for _, root := range roots {
-		frontier = append(frontier, append(make([]int, 0, len(root)), root...))
-	}
-	pending = len(frontier)
-
-	// takeBuf hands out a recycled prefix buffer of length n (mu held).
-	// Children are longer than the parents they recycle, so undersized
-	// buffers are dropped and the pool converges on tree-height sizes.
-	takeBuf := func(n int) []int {
-		if k := len(freeBufs); k > 0 {
-			b := freeBufs[k-1]
-			freeBufs = freeBufs[:k-1]
-			if cap(b) >= n {
-				return b[:n]
-			}
+		var contrib any
+		var err error
+		if opts.Memo {
+			var leaves int
+			contrib, leaves, err = e.memoDFS(root, true)
+			e.stats.Executions += leaves
+		} else {
+			contrib, err = e.exhaustiveDFS(root, true)
 		}
-		return make([]int, n)
-	}
-
-	worker := func() {
-		// Per-worker pooled replay state: one Result (decision and
-		// enabled-set buffers), one runner (handshake channels), one
-		// Replay scheduler, reused across every run this worker does.
-		res := &Result{}
-		sch := &Replay{}
-		var rn *runner
-		for {
-			mu.Lock()
-			for len(frontier) == 0 && pending > 0 && firstErr == nil {
-				cond.Wait()
-			}
-			if pending == 0 || firstErr != nil {
-				mu.Unlock()
-				return
-			}
-			prefix := frontier[len(frontier)-1]
-			frontier = frontier[:len(frontier)-1]
-			mu.Unlock()
-
-			inst := factory()
-			if rn == nil || rn.n != len(inst.Procs) {
-				rn = newRunner(len(inst.Procs))
-			}
-			sch.Prefix, sch.pos = prefix, 0
-			_, err := runInto(Config{Scheduler: sch, MaxSteps: maxSteps}, inst.Procs, res, rn)
-			if err == nil && !replayedExactly(res, prefix) {
-				// Only seed roots can fail this: child prefixes are
-				// observed paths of the deterministic system. A seed
-				// that Replay could not follow is a caller mistake
-				// (or a hostile ?prefixes= request upstream).
-				err = fmt.Errorf("%w: %v", ErrPrefixNotLive, prefix)
-			}
-
-			mu.Lock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				pending--
-				cond.Broadcast()
-				mu.Unlock()
-				return
-			}
-			runs++
-			if inst.Done != nil {
-				inst.Done(res)
-			}
-			expandBranchesAlloc(res, len(prefix), takeBuf, func(branch []int) bool {
-				frontier = append(frontier, branch)
-				pending++
-				return true
-			})
-			freeBufs = append(freeBufs, prefix)
-			pending--
-			cond.Broadcast()
-			mu.Unlock()
+		if err != nil {
+			return nil, e.stats, err
+		}
+		if total, err = e.merge(total, contrib); err != nil {
+			return nil, e.stats, err
 		}
 	}
+	return total, e.stats, nil
+}
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker()
-		}()
+// explorer is the state of one Explore call.
+type explorer struct {
+	factory func() Instance
+	opts    Options
+	stats   Stats
+	memo    map[memoKey]memoEntry
+
+	// Replay state pools: one Result and one runner per active DFS
+	// frame, recycled across sibling subtrees.
+	freeRes []*Result
+	freeRun []*runner
+}
+
+// merge folds a contribution into an aggregate under opts.Merge.
+func (e *explorer) merge(into, from any) (any, error) {
+	switch {
+	case from == nil:
+		return into, nil
+	case into == nil:
+		return from, nil
+	case e.opts.Merge == nil:
+		// Leaves that only validate (returning nil) need no Merge;
+		// combining real contributions without one is a mistake.
+		return nil, errors.New("sched: Options.Merge is required to combine non-nil Leaf contributions")
+	default:
+		return e.opts.Merge(into, from), nil
 	}
-	wg.Wait()
-	return runs, firstErr
+}
+
+// replay runs one fresh instance under sch into a pooled Result. The
+// caller hands the Result and runner back through release once it no
+// longer reads the Result.
+func (e *explorer) replay(inst Instance, sch Scheduler) (*Result, *runner, error) {
+	var res *Result
+	if k := len(e.freeRes); k > 0 {
+		res, e.freeRes = e.freeRes[k-1], e.freeRes[:k-1]
+	} else {
+		res = &Result{}
+	}
+	var rn *runner
+	if k := len(e.freeRun); k > 0 {
+		rn, e.freeRun = e.freeRun[k-1], e.freeRun[:k-1]
+	}
+	if rn == nil || rn.n != len(inst.Procs) {
+		rn = newRunner(len(inst.Procs))
+	}
+	if _, err := runInto(Config{Scheduler: sch, MaxSteps: e.opts.MaxSteps}, inst.Procs, res, rn); err != nil {
+		return nil, nil, err
+	}
+	e.stats.Replays++
+	return res, rn, nil
+}
+
+func (e *explorer) release(res *Result, rn *runner) {
+	e.freeRes = append(e.freeRes, res)
+	e.freeRun = append(e.freeRun, rn)
+}
+
+// exhaustiveDFS replays one execution under prefix, hands it to Leaf,
+// and recurses into every scheduler branch the execution did not take
+// after the prefix — once per leaf of the tree. The branches are
+// collected before recursing, so the replay's Result and runner go
+// straight back to the pool and one pair serves the whole walk.
+func (e *explorer) exhaustiveDFS(prefix []int, seed bool) (any, error) {
+	inst := e.factory()
+	res, rn, err := e.replay(inst, &Replay{Prefix: prefix})
+	if err != nil {
+		return nil, err
+	}
+	if seed && !replayedExactly(res, prefix) {
+		return nil, fmt.Errorf("%w: %v", ErrPrefixNotLive, prefix)
+	}
+	e.stats.Executions++
+	var contrib any
+	if inst.Leaf != nil {
+		if contrib, err = inst.Leaf(res); err != nil {
+			return nil, err
+		}
+	}
+	branches := untakenBranches(res, len(prefix))
+	e.release(res, rn)
+	for _, branch := range branches {
+		sub, err := e.exhaustiveDFS(branch, false)
+		if err != nil {
+			return nil, err
+		}
+		if contrib, err = e.merge(contrib, sub); err != nil {
+			return nil, err
+		}
+	}
+	return contrib, nil
+}
+
+// untakenBranches lists the child prefixes of a completed execution:
+// one per scheduler branch not taken after the forced prefix, deepest
+// decision point first (ordering is irrelevant for coverage). The
+// memoized DFS walks the same branches, depth by depth.
+func untakenBranches(res *Result, prefixLen int) [][]int {
+	var out [][]int
+	for i := len(res.Decisions) - 1; i >= prefixLen; i-- {
+		for _, alt := range res.EnabledSets[i] {
+			if alt > res.Decisions[i].Pid {
+				out = append(out, branchAt(res, i, alt))
+			}
+		}
+	}
+	return out
+}
+
+// branchAt is the prefix that follows res for its first i decisions and
+// then schedules alt.
+func branchAt(res *Result, i, alt int) []int {
+	branch := make([]int, i+1)
+	for j := 0; j < i; j++ {
+		branch[j] = res.Decisions[j].Pid
+	}
+	branch[i] = alt
+	return branch
 }
 
 // replayedExactly reports whether an execution actually took every
@@ -280,9 +264,9 @@ func replayedExactly(res *Result, prefix []int) bool {
 // that some execution realizes, plus the full decision sequence of any
 // execution that terminates in fewer than depth choices. The returned
 // roots are pairwise prefix-free and their subtrees partition the
-// ExploreAll execution set, so a coordinator can carve them into
-// disjoint ranges, hand each range to ExplorePrefixes on a different
-// worker, and know the union of visits is the whole space.
+// execution set, so a coordinator can carve them into disjoint ranges,
+// hand each range to Explore (Options.Roots) on a different worker, and
+// know the union of the aggregates is the whole space.
 //
 // Roots are returned in deterministic DFS order (enabled sets are
 // sorted), so every caller carves the same tree identically. depth <=

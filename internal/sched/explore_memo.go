@@ -1,91 +1,27 @@
 package sched
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
-// This file implements the memoized exploration mode: a replay DFS
-// that consults a visited-set keyed by (canonical state, depth) and
-// prunes subtrees whose aggregate contribution is already known.
+// This file implements the memoized mode of Explore (Options.Memo): a
+// replay DFS that consults a visited-set keyed by (canonical state,
+// depth) and prunes subtrees whose aggregate contribution is already
+// known.
 //
-// The exhaustive explorers replay the system once per leaf. The
-// memoized explorer replays once per *node*: a recorder scheduler
-// fingerprints the global state (via the instance's State seam) at
-// every decision point past the forced prefix, and the moment a
-// fingerprint is found in the memo the run halts — the common prefix
-// is never re-run to a leaf, the memo supplies the whole subtree's
-// contribution and leaf count. Unexplored sibling branches are then
-// descended bottom-up, and the completed contribution of every node
-// on the path is stored at its depth on the way back. Determinism
-// makes this sound: equal canonical state at equal depth implies an
-// isomorphic remaining subtree, so contributions transfer — exactly
-// (for states reached by commuting independent steps) or up to
-// process relabelling (when the State seam applies the symmetry
-// reduction, see Canonicalizer), which is why Leaf contributions and
-// Merge must be relabelling-invariant for reduced systems.
-
-// MemoInstance is one fresh system build for the memoized explorer.
-type MemoInstance struct {
-	// Procs are the process closures, as for the other explorers.
-	Procs []ProcFunc
-	// State fingerprints the instance's current global state. It is
-	// called by the explorer only while every live process is parked
-	// between steps (from the scheduler's Next hook, and once after
-	// the run completes), so it may read shared state freely.
-	// Required.
-	State func() StateKey
-	// Leaf extracts one complete execution's contribution to the
-	// exploration's aggregate. The Result is pooled — Leaf must not
-	// retain it or its slices — and the returned value becomes shared
-	// immutable memo state: it must be fresh on every call, must be
-	// determined by the leaf's canonical state, and is never mutated
-	// by the explorer afterwards. Nil Leaf — or a Leaf used only for
-	// per-execution validation, returning nil — explores for the
-	// counts alone.
-	Leaf func(*Result) any
-}
-
-// MemoOptions configures a memoized exploration.
-type MemoOptions struct {
-	// MaxSteps bounds each replay as in Config (0 = DefaultMaxSteps).
-	MaxSteps int
-	// Merge combines two subtree contributions into a new value. It
-	// must be pure: no mutation of either argument (they remain live
-	// as memoized contributions of other nodes), associativity and
-	// commutativity up to the final aggregate's equality — the same
-	// order-insensitivity the parallel explorers demand. Required
-	// whenever Leaf returns non-nil contributions.
-	Merge func(a, b any) any
-}
-
-// MemoStats counts the work a memoized exploration did and saved.
-type MemoStats struct {
-	// Executions is the number of leaves of the exhaustive tree the
-	// aggregate accounts for — equal to the run count ExploreAll
-	// would report.
-	Executions int
-	// Replays is the number of system runs actually performed (one
-	// per explored node, halted early on memo hits). The memoized
-	// win is Replays ≪ Executions·avg-depth replay steps.
-	Replays int
-	// StatesVisited is the number of distinct (canonical state,
-	// depth) nodes stored in the memo.
-	StatesVisited int
-	// StatesPruned is the number of subtrees reused from the memo
-	// instead of re-explored.
-	StatesPruned int
-	// StatesShared is the number of memo hits on entries another
-	// worker's range published — the reuse a purely per-range memo
-	// would have re-explored. Always 0 for serial explorations.
-	StatesShared int
-	// Workers is the number of worker goroutines the exploration ran
-	// with (1 for the serial explorer).
-	Workers int
-}
-
-// errMemoState reports a MemoInstance without the required State seam.
-var errMemoState = errors.New("sched: MemoInstance.State is required")
+// The exhaustive mode replays the system once per leaf. The memoized
+// mode replays once per *node*: a recorder scheduler fingerprints the
+// global state (via the instance's State seam) at every decision point
+// past the forced prefix, and the moment a fingerprint is found in the
+// memo the run halts — the common prefix is never re-run to a leaf,
+// the memo supplies the whole subtree's contribution and leaf count.
+// Unexplored sibling branches are then descended bottom-up, and the
+// completed contribution of every node on the path is stored at its
+// depth on the way back. Determinism makes this sound: equal canonical
+// state at equal depth implies an isomorphic remaining subtree, so
+// contributions transfer — exactly (for states reached by commuting
+// independent steps) or up to process relabelling (when the State seam
+// applies the symmetry reduction, see Canonicalizer), which is why
+// Leaf contributions and Merge must be relabelling-invariant for
+// reduced systems.
 
 // memoKey identifies a node of the schedule tree up to canonical-state
 // equivalence: same fingerprint at the same depth ⇒ same subtree
@@ -130,169 +66,78 @@ func (m *memoProbe) Next(enabled []int) Decision {
 	return m.replay.Next(enabled)
 }
 
-// ExploreMemo explores the whole schedule tree of a deterministic
-// system in memoized mode, returning the merged contribution of every
-// leaf, the exploration counters, and the first error. factory must
-// build a fresh, fully deterministic instance on every call.
-func ExploreMemo(factory func() MemoInstance, opts MemoOptions) (any, MemoStats, error) {
-	return ExploreMemoPrefixes(factory, opts, [][]int{{}})
-}
-
-// ExploreMemoPrefixes is ExploreMemo restricted to the subtrees under
-// the given forced prefixes (the memoized analogue of
-// ExplorePrefixes): the aggregate covers exactly the executions whose
-// decision sequence extends one of roots, each counted once. Roots
-// follow the ExplorePrefixes contract — live, pairwise prefix-free
-// (PartitionRoots output qualifies); a root the scheduler cannot
-// follow fails with ErrPrefixNotLive. The memoized union over any
-// partition of roots equals the exhaustive whole-tree aggregate,
-// which is what lets the sharded layers adopt the mode slice by
-// slice. An empty roots slice explores nothing.
-func ExploreMemoPrefixes(factory func() MemoInstance, opts MemoOptions, roots [][]int) (any, MemoStats, error) {
-	stats := MemoStats{Workers: 1}
-	if len(roots) == 0 {
-		return nil, stats, nil
+// memoDFS explores the subtree under prefix, returning its merged
+// contribution and the number of executions it accounts for.
+func (e *explorer) memoDFS(prefix []int, seed bool) (any, int, error) {
+	inst := e.factory()
+	if inst.State == nil {
+		return nil, 0, errMemoState
+	}
+	probe := &memoProbe{
+		replay: Replay{Prefix: prefix},
+		state:  inst.State,
+		memo:   e.memo,
+		from:   len(prefix),
+	}
+	res, rn, err := e.replay(inst, probe)
+	if err != nil {
+		return nil, 0, err
+	}
+	if seed && !replayedExactly(res, prefix) {
+		return nil, 0, fmt.Errorf("%w: %v", ErrPrefixNotLive, prefix)
 	}
 
-	memo := make(map[memoKey]memoEntry)
-	var mergeErr error
-	mergeInto := func(into, from any) any {
-		switch {
-		case from == nil:
-			return into
-		case into == nil:
-			return from
-		case opts.Merge == nil:
-			// Leaves that only validate (returning nil) need no Merge;
-			// combining real contributions without one is a mistake.
-			if mergeErr == nil {
-				mergeErr = errors.New("sched: MemoOptions.Merge is required to combine non-nil Leaf contributions")
-			}
-			return into
-		default:
-			return opts.Merge(into, from)
-		}
-	}
-
-	// Replay state pools, as in the frontier loop: one Result and one
-	// runner per active DFS frame, recycled across sibling subtrees.
-	var (
-		freeRes []*Result
-		freeRun []*runner
-	)
-	getRes := func() *Result {
-		if k := len(freeRes); k > 0 {
-			r := freeRes[k-1]
-			freeRes = freeRes[:k-1]
-			return r
-		}
-		return &Result{}
-	}
-	getRun := func() *runner {
-		if k := len(freeRun); k > 0 {
-			r := freeRun[k-1]
-			freeRun = freeRun[:k-1]
-			return r
-		}
-		return nil
-	}
-
-	var dfs func(prefix []int, seed bool) (any, int, error)
-	dfs = func(prefix []int, seed bool) (any, int, error) {
-		inst := factory()
-		if inst.State == nil {
-			return nil, 0, errMemoState
-		}
-		probe := &memoProbe{
-			replay: Replay{Prefix: prefix},
-			state:  inst.State,
-			memo:   memo,
-			from:   len(prefix),
-		}
-		res, rn := getRes(), getRun()
-		if rn == nil || rn.n != len(inst.Procs) {
-			rn = newRunner(len(inst.Procs))
-		}
-		if _, err := runInto(Config{Scheduler: probe, MaxSteps: opts.MaxSteps}, inst.Procs, res, rn); err != nil {
-			return nil, 0, err
-		}
-		stats.Replays++
-		if seed && !replayedExactly(res, prefix) {
-			return nil, 0, fmt.Errorf("%w: %v", ErrPrefixNotLive, prefix)
-		}
-
-		// top is the depth the replay reached: the depth of the memo
-		// hit, or the leaf's depth on a complete execution.
-		top := len(res.Decisions)
-		var contrib any
-		var leaves int
-		if probe.hit {
-			stats.StatesPruned++
-			contrib, leaves = probe.entry.contrib, probe.entry.leaves
-		} else {
-			// A complete execution: one leaf. Store its terminal state
-			// too, so sibling paths converging on it halt immediately.
-			// (The probe never fingerprints terminal states — they have
-			// no decision point — so an equivalent leaf may already be
-			// stored; keep the first.)
-			if inst.Leaf != nil {
-				contrib = inst.Leaf(res)
-			}
-			leaves = 1
-			tk := memoKey{state: inst.State(), depth: top}
-			if _, ok := memo[tk]; !ok {
-				memo[tk] = memoEntry{contrib: contrib, leaves: leaves}
-				stats.StatesVisited++
+	// top is the depth the replay reached: the depth of the memo hit,
+	// or the leaf's depth on a complete execution.
+	top := len(res.Decisions)
+	var contrib any
+	var leaves int
+	if probe.hit {
+		e.stats.StatesPruned++
+		contrib, leaves = probe.entry.contrib, probe.entry.leaves
+	} else {
+		// A complete execution: one leaf. Store its terminal state too,
+		// so sibling paths converging on it halt immediately. (The probe
+		// never fingerprints terminal states — they have no decision
+		// point — so an equivalent leaf may already be stored; keep the
+		// first.)
+		if inst.Leaf != nil {
+			if contrib, err = inst.Leaf(res); err != nil {
+				return nil, 0, err
 			}
 		}
+		leaves = 1
+		tk := memoKey{state: inst.State(), depth: top}
+		if _, ok := e.memo[tk]; !ok {
+			e.memo[tk] = memoEntry{contrib: contrib, leaves: leaves}
+			e.stats.StatesVisited++
+		}
+	}
 
-		// Bottom-up: descend every untaken branch below each decision
-		// point, deepest first, folding sibling subtrees into this
-		// path's contribution; each node's completed entry is stored at
-		// its depth. Sibling recursions store only at depths strictly
-		// below their own prefix length (> i), so no entry written here
-		// is ever overwritten.
-		for i := top - 1; i >= len(prefix); i-- {
-			chosen := res.Decisions[i].Pid
-			for _, alt := range res.EnabledSets[i] {
-				if alt <= chosen {
-					continue
-				}
-				branch := make([]int, i+1)
-				for j := 0; j < i; j++ {
-					branch[j] = res.Decisions[j].Pid
-				}
-				branch[i] = alt
-				sub, subLeaves, err := dfs(branch, false)
-				if err != nil {
-					return nil, 0, err
-				}
-				contrib = mergeInto(contrib, sub)
-				leaves += subLeaves
+	// Bottom-up: descend every untaken branch below each decision
+	// point, deepest first, folding sibling subtrees into this path's
+	// contribution; each node's completed entry is stored at its depth.
+	// Sibling recursions store only at depths strictly below their own
+	// prefix length (> i), so no entry written here is ever overwritten.
+	for i := top - 1; i >= len(prefix); i-- {
+		chosen := res.Decisions[i].Pid
+		for _, alt := range res.EnabledSets[i] {
+			if alt <= chosen {
+				continue
 			}
-			memo[memoKey{state: probe.keys[i-len(prefix)], depth: i}] = memoEntry{contrib: contrib, leaves: leaves}
-			stats.StatesVisited++
+			sub, subLeaves, err := e.memoDFS(branchAt(res, i, alt), false)
+			if err != nil {
+				return nil, 0, err
+			}
+			if contrib, err = e.merge(contrib, sub); err != nil {
+				return nil, 0, err
+			}
+			leaves += subLeaves
 		}
-
-		freeRes = append(freeRes, res)
-		freeRun = append(freeRun, rn)
-		return contrib, leaves, nil
+		e.memo[memoKey{state: probe.keys[i-len(prefix)], depth: i}] = memoEntry{contrib: contrib, leaves: leaves}
+		e.stats.StatesVisited++
 	}
 
-	var total any
-	for _, root := range roots {
-		contrib, leaves, err := dfs(root, true)
-		if err == nil {
-			err = mergeErr
-		}
-		if err != nil {
-			return nil, stats, err
-		}
-		total = mergeInto(total, contrib)
-		stats.Executions += leaves
-	}
-	if mergeErr != nil {
-		return nil, stats, mergeErr
-	}
-	return total, stats, nil
+	e.release(res, rn)
+	return contrib, leaves, nil
 }

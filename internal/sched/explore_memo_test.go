@@ -1,7 +1,7 @@
 package sched_test
 
 // The sched half of the memoized-vs-exhaustive differential layer
-// (PR 4's partition gates, re-aimed at the memo table): for a grid of
+// (the partition gates, re-aimed at the memo table): for a grid of
 // small deterministic systems, the memoized explorer must produce the
 // exact leaf-fingerprint multiset and execution count of the
 // exhaustive replay DFS — whole-tree, and as a union over every
@@ -141,12 +141,13 @@ func (s *asymSys) leafFP(r *sched.Result) string {
 	return fmt.Sprintf("%v d=%v b=%v", fin, r.Deadlocked, r.BudgetExceeded)
 }
 
-// memoCase is one row of the differential grid: a factory for the
-// plain explorers, and a memo factory exposing the State seam.
+// memoCase is one row of the differential grid: a process factory for
+// PartitionRoots, and an Instance factory exposing the State seam that
+// both exploration modes run.
 type memoCase struct {
 	name    string
 	factory func() []sched.ProcFunc
-	memo    func() sched.MemoInstance
+	memo    func() sched.Instance
 }
 
 func memoGrid() []memoCase {
@@ -167,9 +168,9 @@ func memoGrid() []memoCase {
 			factory: func() []sched.ProcFunc {
 				return newRingSys(cfg.n, cfg.k, cfg.mod, cfg.ordered).procs()
 			},
-			memo: func() sched.MemoInstance {
+			memo: func() sched.Instance {
 				s := newRingSys(cfg.n, cfg.k, cfg.mod, cfg.ordered)
-				return sched.MemoInstance{
+				return sched.Instance{
 					Procs: s.procs(),
 					State: s.state,
 					Leaf:  schedtest.Leaf(s.leafFP),
@@ -184,9 +185,9 @@ func memoGrid() []memoCase {
 			factory: func() []sched.ProcFunc {
 				return newAsymSys(totals).procs()
 			},
-			memo: func() sched.MemoInstance {
+			memo: func() sched.Instance {
 				s := newAsymSys(totals)
-				return sched.MemoInstance{
+				return sched.Instance{
 					Procs: s.procs(),
 					State: s.state,
 					Leaf:  schedtest.Leaf(s.leafFP),
@@ -197,33 +198,19 @@ func memoGrid() []memoCase {
 	return cases
 }
 
-// exhaustiveCounts runs the serial exhaustive explorer, fingerprinting
-// each leaf with the same function the memo side uses. The factory
-// must expose the current instance's fingerprint through cur.
+// exhaustiveCounts runs the exhaustive oracle over the very Instance
+// factory the memoized side uses, so both modes explore the identical
+// system and fingerprint leaves with the same Leaf.
 func exhaustiveCounts(t *testing.T, mc memoCase) (schedtest.Counts, int) {
 	t.Helper()
-	want := schedtest.Counts{}
-	var curFP func(*sched.Result) string
-	factory := func() []sched.ProcFunc {
-		// Rebuild through the memo factory so both sides run the
-		// identical system; use its Leaf for the fingerprint.
-		inst := mc.memo()
-		leaf := inst.Leaf
-		curFP = func(r *sched.Result) string {
-			for fp := range leaf(r).(schedtest.Counts) {
-				return fp
-			}
-			panic("empty leaf contribution")
-		}
-		return inst.Procs
-	}
-	runs, err := sched.ExploreAll(factory, 0, func(r *sched.Result) {
-		want.Add(curFP(r))
-	})
+	agg, stats, err := sched.Explore(mc.memo, sched.Options{Merge: schedtest.Merge})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return want, runs
+	if stats.Replays != stats.Executions || stats.StatesVisited != 0 {
+		t.Fatalf("exhaustive counters %+v: want one replay per execution and no memo", stats)
+	}
+	return schedtest.AsCounts(agg), stats.Executions
 }
 
 // TestMemoMatchesExhaustive is the core differential property: same
@@ -234,7 +221,7 @@ func TestMemoMatchesExhaustive(t *testing.T) {
 		mc := mc
 		t.Run(mc.name, func(t *testing.T) {
 			want, runs := exhaustiveCounts(t, mc)
-			agg, stats, err := sched.ExploreMemo(mc.memo, sched.MemoOptions{Merge: schedtest.Merge})
+			agg, stats, err := sched.Explore(mc.memo, sched.Options{Memo: true, Merge: schedtest.Merge})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,8 +245,8 @@ func TestMemoMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestMemoPrefixesUnionEqualsExploreAll mirrors the PR 4 partition
-// gate in memoized mode: for every cut depth, the union of
+// TestMemoPrefixesUnionEqualsExploreAll mirrors the partition gate in
+// memoized mode: for every cut depth, the union of
 // per-root memoized explorations (separate calls, separate memo
 // tables — the sharded shape) and the single whole-partition call
 // both reproduce the exhaustive multiset exactly.
@@ -274,7 +261,7 @@ func TestMemoPrefixesUnionEqualsExploreAll(t *testing.T) {
 					t.Fatal(err)
 				}
 				// Whole partition, one call (one shared memo table).
-				agg, stats, err := sched.ExploreMemoPrefixes(mc.memo, sched.MemoOptions{Merge: schedtest.Merge}, roots)
+				agg, stats, err := sched.Explore(mc.memo, sched.Options{Roots: roots, Memo: true, Merge: schedtest.Merge})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -288,7 +275,7 @@ func TestMemoPrefixesUnionEqualsExploreAll(t *testing.T) {
 				union := schedtest.Counts{}
 				total := 0
 				for _, root := range roots {
-					agg, stats, err := sched.ExploreMemoPrefixes(mc.memo, sched.MemoOptions{Merge: schedtest.Merge}, [][]int{root})
+					agg, stats, err := sched.Explore(mc.memo, sched.Options{Roots: [][]int{root}, Memo: true, Merge: schedtest.Merge})
 					if err != nil {
 						t.Fatalf("depth %d root %v: %v", depth, root, err)
 					}
@@ -307,47 +294,49 @@ func TestMemoPrefixesUnionEqualsExploreAll(t *testing.T) {
 }
 
 // TestMemoRejectsDeadPrefix: the memoized explorer enforces the same
-// liveness contract on seed roots as ExplorePrefixes.
+// liveness contract on seed roots as the exhaustive one.
 func TestMemoRejectsDeadPrefix(t *testing.T) {
-	memo := func() sched.MemoInstance {
+	memo := func() sched.Instance {
 		s := newAsymSys([]int{1, 1})
-		return sched.MemoInstance{Procs: s.procs(), State: s.state, Leaf: schedtest.Leaf(s.leafFP)}
+		return sched.Instance{Procs: s.procs(), State: s.state, Leaf: schedtest.Leaf(s.leafFP)}
 	}
 	for _, root := range [][]int{
 		{5},          // pid 5 does not exist
 		{0, 0, 0, 0}, // longer than any execution
 	} {
-		_, _, err := sched.ExploreMemoPrefixes(memo, sched.MemoOptions{Merge: schedtest.Merge}, [][]int{root})
+		_, _, err := sched.Explore(memo, sched.Options{Roots: [][]int{root}, Memo: true, Merge: schedtest.Merge})
 		if !errors.Is(err, sched.ErrPrefixNotLive) {
 			t.Errorf("root %v: err = %v, want ErrPrefixNotLive", root, err)
 		}
 	}
-	if _, _, err := sched.ExploreMemoPrefixes(memo, sched.MemoOptions{Merge: schedtest.Merge}, [][]int{{1}}); err != nil {
+	if _, _, err := sched.Explore(memo, sched.Options{Roots: [][]int{{1}}, Memo: true, Merge: schedtest.Merge}); err != nil {
 		t.Errorf("live root: %v", err)
 	}
 }
 
 // TestMemoEmptyRootsAndConfigErrors pins the degenerate contracts.
 func TestMemoEmptyRootsAndConfigErrors(t *testing.T) {
-	agg, stats, err := sched.ExploreMemoPrefixes(func() sched.MemoInstance {
+	agg, stats, err := sched.Explore(func() sched.Instance {
 		t.Fatal("factory called with no roots")
-		return sched.MemoInstance{}
-	}, sched.MemoOptions{}, nil)
+		return sched.Instance{}
+	}, sched.Options{Roots: [][]int{}, Memo: true})
 	if err != nil || agg != nil || stats.Executions != 0 {
 		t.Fatalf("empty roots = (%v, %+v, %v); want nil aggregate, zero stats, nil error", agg, stats, err)
 	}
 
 	s := newAsymSys([]int{1, 1})
-	if _, _, err := sched.ExploreMemo(func() sched.MemoInstance {
-		return sched.MemoInstance{Procs: s.procs()}
-	}, sched.MemoOptions{}); err == nil {
+	if _, _, err := sched.Explore(func() sched.Instance {
+		return sched.Instance{Procs: s.procs()}
+	}, sched.Options{Memo: true}); err == nil {
 		t.Fatal("missing State seam not rejected")
 	}
-	if _, _, err := sched.ExploreMemo(func() sched.MemoInstance {
-		sys := newAsymSys([]int{1, 1})
-		return sched.MemoInstance{Procs: sys.procs(), State: sys.state, Leaf: schedtest.Leaf(sys.leafFP)}
-	}, sched.MemoOptions{}); err == nil {
-		t.Fatal("Leaf without Merge not rejected")
+	for _, memo := range []bool{false, true} {
+		if _, _, err := sched.Explore(func() sched.Instance {
+			sys := newAsymSys([]int{1, 1})
+			return sched.Instance{Procs: sys.procs(), State: sys.state, Leaf: schedtest.Leaf(sys.leafFP)}
+		}, sched.Options{Memo: memo}); err == nil {
+			t.Fatalf("memo=%v: Leaf without Merge not rejected", memo)
+		}
 	}
 }
 
@@ -355,15 +344,16 @@ func TestMemoEmptyRootsAndConfigErrors(t *testing.T) {
 // alone (the E15 shape, where only the execution count and the
 // per-leaf validation matter).
 func TestMemoCountsAloneWithoutLeaf(t *testing.T) {
-	factory := func() []sched.ProcFunc { return newAsymSys([]int{3, 3}).procs() }
-	runs, err := sched.ExploreAll(factory, 0, func(*sched.Result) {})
+	factory := func() sched.Instance {
+		s := newAsymSys([]int{3, 3})
+		return sched.Instance{Procs: s.procs(), State: s.state}
+	}
+	_, whole, err := sched.Explore(factory, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, stats, err := sched.ExploreMemo(func() sched.MemoInstance {
-		s := newAsymSys([]int{3, 3})
-		return sched.MemoInstance{Procs: s.procs(), State: s.state}
-	}, sched.MemoOptions{})
+	runs := whole.Executions
+	agg, stats, err := sched.Explore(factory, sched.Options{Memo: true})
 	if err != nil {
 		t.Fatal(err)
 	}

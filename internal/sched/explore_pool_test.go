@@ -2,66 +2,8 @@ package sched
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"testing"
 )
-
-// TestExplorePrefixesPooledFrontier hammers the pooled replay path:
-// many workers share the frontier's recycled prefix buffers while each
-// worker reuses one Result and one runner across every replay. Done
-// must observe each run's data intact (the pooling contract: valid
-// until Done returns), and repeated runs must agree with the serial
-// explorer exactly. Run under -race in CI (make test-short), this is
-// the pooled-frontier race gate.
-func TestExplorePrefixesPooledFrontier(t *testing.T) {
-	steps := []int{3, 3, 2}
-	want := collectAll(t, steps)
-	for round := 0; round < 3; round++ {
-		var (
-			mu  sync.Mutex
-			fps []string
-		)
-		factory := func() Instance {
-			return Instance{
-				Procs: stepSystem(steps),
-				Done: func(r *Result) {
-					// Read everything Done is entitled to: the full
-					// decision sequence, enabled sets, and counters —
-					// stale pooled data would corrupt the fingerprint.
-					fp := fingerprint(r)
-					total := 0
-					for i, s := range r.Steps {
-						if r.Crashed[i] || r.Errs[i] != nil {
-							t.Errorf("unexpected crash/error for pid %d", i)
-						}
-						total += s
-					}
-					if total != r.TotalSteps {
-						t.Errorf("Steps sum %d != TotalSteps %d", total, r.TotalSteps)
-					}
-					if len(r.Decisions) != len(r.EnabledSets) {
-						t.Errorf("%d decisions, %d enabled sets", len(r.Decisions), len(r.EnabledSets))
-					}
-					mu.Lock()
-					fps = append(fps, fp)
-					mu.Unlock()
-				},
-			}
-		}
-		n, err := ExplorePrefixes(factory, 0, 8, [][]int{{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != len(want) {
-			t.Fatalf("round %d: %d runs, want %d", round, n, len(want))
-		}
-		sort.Strings(fps)
-		if !equalStrings(fps, want) {
-			t.Fatalf("round %d: pooled fingerprint multiset diverged from serial", round)
-		}
-	}
-}
 
 // TestRunIntoReuse pins the runInto contract directly: one Result and
 // one runner recycled across differently-shaped runs keep every field
@@ -90,6 +32,19 @@ func TestRunIntoReuse(t *testing.T) {
 			res.TotalSteps != want.TotalSteps {
 			t.Fatalf("steps %v: reused result %v/%v diverges from fresh %v/%v",
 				steps, res.Steps, fingerprint(res), want.Steps, fingerprint(want))
+		}
+	}
+}
+
+// TestExplorePropagatesError: a configuration error inside a replay
+// surfaces from both modes instead of being taken for an execution.
+func TestExplorePropagatesError(t *testing.T) {
+	factory := func() Instance {
+		return Instance{State: func() StateKey { return 0 }} // Run rejects empty process lists
+	}
+	for _, memo := range []bool{false, true} {
+		if _, _, err := Explore(factory, Options{Memo: memo}); err == nil {
+			t.Fatalf("memo=%v: empty system accepted", memo)
 		}
 	}
 }

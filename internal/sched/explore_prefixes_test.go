@@ -5,13 +5,12 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 )
 
 // stepSystem builds a deterministic n-process system where process i
 // takes steps[i] plain steps and records the global grant order into
-// trace (appended under the explorer's Done lock by the caller). The
+// trace (appended by the caller's Leaf). The
 // decision tree is the full interleaving tree of the step counts —
 // branchy enough to exercise every partition shape.
 func stepSystem(steps []int) []ProcFunc {
@@ -38,51 +37,47 @@ func fingerprint(r *Result) string {
 	return b.String()
 }
 
-// collectAll runs the serial exhaustive explorer and returns the
-// fingerprint multiset (as a sorted slice) of every execution.
-func collectAll(t *testing.T, steps []int) []string {
+// exploreAll runs the exhaustive explorer over a plain process factory
+// and visits every execution, returning the execution count.
+func exploreAll(factory func() []ProcFunc, visit func(*Result)) (int, error) {
+	_, stats, err := Explore(func() Instance {
+		return Instance{Procs: factory(), Leaf: func(r *Result) (any, error) {
+			visit(r)
+			return nil, nil
+		}}
+	}, Options{})
+	return stats.Executions, err
+}
+
+// collectPrefixes runs the exhaustive explorer over the given roots
+// (nil: the whole tree) and returns the sorted fingerprint multiset.
+func collectPrefixes(t *testing.T, steps []int, roots [][]int) []string {
 	t.Helper()
 	var fps []string
-	n, err := ExploreAll(func() []ProcFunc { return stepSystem(steps) }, 0, func(r *Result) {
-		fps = append(fps, fingerprint(r))
-	})
+	factory := func() Instance {
+		return Instance{
+			Procs: stepSystem(steps),
+			Leaf: func(r *Result) (any, error) {
+				fps = append(fps, fingerprint(r))
+				return nil, nil
+			},
+		}
+	}
+	_, stats, err := Explore(factory, Options{Roots: roots})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(fps) {
-		t.Fatalf("ExploreAll reported %d runs, visited %d", n, len(fps))
+	if stats.Executions != len(fps) {
+		t.Fatalf("Explore reported %d executions, visited %d", stats.Executions, len(fps))
 	}
 	sort.Strings(fps)
 	return fps
 }
 
-// collectPrefixes runs ExplorePrefixes over the given roots and
-// returns the sorted fingerprint multiset.
-func collectPrefixes(t *testing.T, steps []int, workers int, roots [][]int) []string {
+// collectAll returns the whole tree's sorted fingerprint multiset.
+func collectAll(t *testing.T, steps []int) []string {
 	t.Helper()
-	var (
-		mu  sync.Mutex
-		fps []string
-	)
-	factory := func() Instance {
-		return Instance{
-			Procs: stepSystem(steps),
-			Done: func(r *Result) {
-				mu.Lock()
-				fps = append(fps, fingerprint(r))
-				mu.Unlock()
-			},
-		}
-	}
-	n, err := ExplorePrefixes(factory, 0, workers, roots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(fps) {
-		t.Fatalf("ExplorePrefixes reported %d runs, visited %d", n, len(fps))
-	}
-	sort.Strings(fps)
-	return fps
+	return collectPrefixes(t, steps, nil)
 }
 
 func equalStrings(a, b []string) bool {
@@ -100,9 +95,8 @@ func equalStrings(a, b []string) bool {
 // TestPartitionUnionEqualsExploreAll is the differential property the
 // distributed sharding layers rest on: for every cut depth — including
 // the degenerate depth 0 (one root, the whole tree) and depths beyond
-// the tree height (one root per execution) — the union of
-// ExplorePrefixes over the PartitionRoots partition visits exactly the
-// ExploreAll execution set, execution count and fingerprint multiset
+// the tree height (one root per execution) — exploring the
+// PartitionRoots partition visits exactly the whole-tree execution set, execution count and fingerprint multiset
 // alike. Each root is also explored as its own one-element range, so
 // any regrouping of the partition into ranges covers the same set.
 func TestPartitionUnionEqualsExploreAll(t *testing.T) {
@@ -127,7 +121,7 @@ func TestPartitionUnionEqualsExploreAll(t *testing.T) {
 				}
 			}
 			// The whole partition in one call...
-			got := collectPrefixes(t, steps, 4, roots)
+			got := collectPrefixes(t, steps, roots)
 			if !equalStrings(got, want) {
 				t.Fatalf("steps=%v depth=%d: partition visits %d executions, want %d",
 					steps, depth, len(got), len(want))
@@ -136,7 +130,7 @@ func TestPartitionUnionEqualsExploreAll(t *testing.T) {
 			// the sharded shape, one call per range.
 			var union []string
 			for _, root := range roots {
-				union = append(union, collectPrefixes(t, steps, 2, [][]int{root})...)
+				union = append(union, collectPrefixes(t, steps, [][]int{root})...)
 			}
 			sort.Strings(union)
 			if !equalStrings(union, want) {
@@ -171,25 +165,26 @@ func TestExplorePrefixesRejectsDeadPrefix(t *testing.T) {
 		{5},          // pid 5 does not exist
 		{0, 0, 0, 0}, // longer than any execution
 	} {
-		_, err := ExplorePrefixes(factory, 0, 2, [][]int{root})
+		_, _, err := Explore(factory, Options{Roots: [][]int{root}})
 		if !errors.Is(err, ErrPrefixNotLive) {
 			t.Errorf("root %v: err = %v, want ErrPrefixNotLive", root, err)
 		}
 	}
 	// And a live prefix still explores cleanly.
-	if _, err := ExplorePrefixes(factory, 0, 2, [][]int{{1}}); err != nil {
+	if _, _, err := Explore(factory, Options{Roots: [][]int{{1}}}); err != nil {
 		t.Errorf("live root: %v", err)
 	}
 }
 
-// TestExplorePrefixesEmptyRoots pins the no-op contract.
+// TestExplorePrefixesEmptyRoots pins the no-op contract: a non-nil
+// empty root set explores nothing (nil means the whole tree).
 func TestExplorePrefixesEmptyRoots(t *testing.T) {
-	n, err := ExplorePrefixes(func() Instance {
+	agg, stats, err := Explore(func() Instance {
 		t.Fatal("factory called with no roots")
 		return Instance{}
-	}, 0, 2, nil)
-	if err != nil || n != 0 {
-		t.Fatalf("ExplorePrefixes(nil roots) = %d, %v; want 0, nil", n, err)
+	}, Options{Roots: [][]int{}})
+	if err != nil || agg != nil || stats != (Stats{}) {
+		t.Fatalf("Explore(empty roots) = %v, %+v, %v; want nil, zero, nil", agg, stats, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -11,7 +12,7 @@ func TestExploreAsymmetricMultinomial(t *testing.T) {
 		var sink []int
 		return []ProcFunc{counterProc(1, &sink), counterProc(2, &sink), counterProc(3, &sink)}
 	}
-	runs, err := ExploreAll(factory, 0, func(*Result) {})
+	runs, err := exploreAll(factory, func(*Result) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,22 +21,30 @@ func TestExploreAsymmetricMultinomial(t *testing.T) {
 	}
 }
 
-// TestExploreVisitStops: returning false stops exploration without error.
+// TestExploreVisitStops: a Leaf error stops the exploration at that
+// execution, and Explore returns it.
 func TestExploreVisitStops(t *testing.T) {
-	factory := func() []ProcFunc {
-		var sink []int
-		return []ProcFunc{counterProc(3, &sink), counterProc(3, &sink)}
-	}
+	stop := errors.New("found")
 	seen := 0
-	runs, err := Explore(factory, 0, 0, func(*Result) bool {
-		seen++
-		return seen < 2
-	})
-	if err != nil {
-		t.Fatal(err)
+	factory := func() Instance {
+		var sink []int
+		return Instance{
+			Procs: []ProcFunc{counterProc(3, &sink), counterProc(3, &sink)},
+			Leaf: func(*Result) (any, error) {
+				seen++
+				if seen == 2 {
+					return nil, stop
+				}
+				return nil, nil
+			},
+		}
 	}
-	if runs != 2 {
-		t.Fatalf("runs = %d, want 2", runs)
+	_, stats, err := Explore(factory, Options{})
+	if !errors.Is(err, stop) {
+		t.Fatalf("err = %v, want the Leaf's error", err)
+	}
+	if seen != 2 || stats.Replays != 2 {
+		t.Fatalf("visited %d executions in %d replays, want 2", seen, stats.Replays)
 	}
 }
 
@@ -124,7 +133,7 @@ func TestProgramOrderPreserved(t *testing.T) {
 		var sink []int
 		return []ProcFunc{counterProc(3, &sink), counterProc(2, &sink)}
 	}
-	_, err := ExploreAll(factory, 0, func(r *Result) {
+	_, err := exploreAll(factory, func(r *Result) {
 		count := map[int]int{}
 		for _, d := range r.Decisions {
 			count[d.Pid]++

@@ -260,7 +260,7 @@ func TestExploreCountsInterleavings(t *testing.T) {
 			var sink []int
 			return []ProcFunc{counterProc(tc.a, &sink), counterProc(tc.b, &sink)}
 		}
-		runs, err := ExploreAll(factory, 0, func(*Result) {})
+		runs, err := exploreAll(factory, func(*Result) {})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +276,7 @@ func TestExploreThreeProcs(t *testing.T) {
 		var sink []int
 		return []ProcFunc{counterProc(2, &sink), counterProc(2, &sink), counterProc(2, &sink)}
 	}
-	runs, err := ExploreAll(factory, 0, func(*Result) {})
+	runs, err := exploreAll(factory, func(*Result) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestExploreDistinctSchedules(t *testing.T) {
 		return []ProcFunc{counterProc(2, &sink), counterProc(2, &sink)}
 	}
 	seen := map[string]bool{}
-	_, err := ExploreAll(factory, 0, func(r *Result) {
+	_, err := exploreAll(factory, func(r *Result) {
 		key := ""
 		for _, d := range r.Decisions {
 			key += string(rune('0' + d.Pid))
@@ -309,16 +309,42 @@ func TestExploreDistinctSchedules(t *testing.T) {
 	}
 }
 
+// TestExploreRunLimit: a Leaf that fails past a run budget bounds the
+// exploration to exactly that many executions, in both modes.
 func TestExploreRunLimit(t *testing.T) {
-	factory := func() []ProcFunc {
-		var sink []int
-		return []ProcFunc{counterProc(4, &sink), counterProc(4, &sink)}
-	}
-	runs, err := Explore(factory, 0, 3, func(*Result) bool { return true })
-	if !errors.Is(err, ErrExploreLimit) {
-		t.Fatalf("err = %v, want ErrExploreLimit", err)
-	}
-	if runs != 3 {
-		t.Fatalf("runs = %d, want 3", runs)
+	limit := errors.New("run limit")
+	for _, memo := range []bool{false, true} {
+		runs := 0
+		factory := func() Instance {
+			var sink []int
+			return Instance{
+				Procs: []ProcFunc{counterProc(4, &sink), counterProc(4, &sink)},
+				State: func() StateKey {
+					// The whole step log: no two nodes share a key, so
+					// the memo prunes nothing and every leaf is reached.
+					h := KeySeed()
+					for _, v := range sink {
+						h = MixKey(h, uint64(v))
+					}
+					return StateKey(h)
+				},
+				Leaf: func(*Result) (any, error) {
+					if runs++; runs > 3 {
+						return nil, limit
+					}
+					return nil, nil
+				},
+			}
+		}
+		_, stats, err := Explore(factory, Options{Memo: memo})
+		if !errors.Is(err, limit) {
+			t.Fatalf("memo=%v: err = %v, want the limit error", memo, err)
+		}
+		if runs != 4 {
+			t.Fatalf("memo=%v: %d leaves reached, want 4", memo, runs)
+		}
+		if !memo && stats.Replays != 4 {
+			t.Fatalf("%d replays, want 4", stats.Replays)
+		}
 	}
 }

@@ -38,15 +38,15 @@ func (c Counts) Total() int {
 	return n
 }
 
-// Leaf adapts a fingerprint function into a MemoInstance.Leaf
+// Leaf adapts a fingerprint function into an Instance.Leaf
 // contribution: a fresh one-element Counts per leaf.
-func Leaf(fp func(*sched.Result) string) func(*sched.Result) any {
-	return func(r *sched.Result) any {
-		return Counts{fp(r): 1}
+func Leaf(fp func(*sched.Result) string) func(*sched.Result) (any, error) {
+	return func(r *sched.Result) (any, error) {
+		return Counts{fp(r): 1}, nil
 	}
 }
 
-// Merge is the pure MemoOptions.Merge for Counts contributions: it
+// Merge is the pure Options.Merge for Counts contributions: it
 // returns a new multiset and never mutates its arguments, which stay
 // live inside the memo table.
 func Merge(a, b any) any {
@@ -61,7 +61,7 @@ func Merge(a, b any) any {
 	return out
 }
 
-// AsCounts converts a memoized exploration's aggregate back to Counts,
+// AsCounts converts an exploration's aggregate back to Counts,
 // treating nil (an empty exploration) as the empty multiset.
 func AsCounts(v any) Counts {
 	if v == nil {
@@ -87,4 +87,19 @@ func Diff(got, want Counts) string {
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")
+}
+
+// VisitAll runs the exhaustive explorer over a plain process factory
+// and calls visit on every execution, returning the execution count:
+// the oracle shape the protocol packages' tests check every
+// interleaving with. factory and visit run in lockstep — each visit
+// sees the instance the latest factory call built.
+func VisitAll(factory func() []sched.ProcFunc, maxSteps int, visit func(*sched.Result)) (int, error) {
+	_, stats, err := sched.Explore(func() sched.Instance {
+		return sched.Instance{Procs: factory(), Leaf: func(r *sched.Result) (any, error) {
+			visit(r)
+			return nil, nil
+		}}
+	}, sched.Options{MaxSteps: maxSteps})
+	return stats.Executions, err
 }

@@ -56,6 +56,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	s.writeEndpointHistograms(&b)
 	s.writeExperimentMetrics(&b)
+	s.writeExplorationMetrics(&b)
 
 	if cs, ok := s.cache.(interface{ Stats() cache.Stats }); ok {
 		st := cs.Stats()
@@ -142,6 +143,26 @@ func (s *Server) writeExperimentMetrics(b *strings.Builder) {
 				fmt.Sprintf("id=%q", id), *h)
 		}
 	}
+}
+
+// writeExplorationMetrics renders the /stats exploration section: the
+// memoized explorer's counters summed over fresh runs, absent (like the
+// section) until the first one.
+func (s *Server) writeExplorationMetrics(b *strings.Builder) {
+	ex := s.explorationStats()
+	if ex == nil {
+		return
+	}
+	writeMetric(b, "repro_exploration_runs_total", "counter",
+		"Fresh memoized schedule-tree explorations executed.", sample{value: float64(ex.Runs)})
+	writeMetric(b, "repro_exploration_executions_total", "counter",
+		"Executions those explorations accounted for.", sample{value: float64(ex.Executions)})
+	writeMetric(b, "repro_exploration_replays_total", "counter",
+		"System replays those explorations performed.", sample{value: float64(ex.Replays)})
+	writeMetric(b, "repro_exploration_states_visited_total", "counter",
+		"Distinct canonical states stored in the memo.", sample{value: float64(ex.StatesVisited)})
+	writeMetric(b, "repro_exploration_states_pruned_total", "counter",
+		"Subtrees reused from the memo instead of re-explored.", sample{value: float64(ex.StatesPruned)})
 }
 
 // sample is one exposition line's labels and value. labels is the

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/trace"
 )
 
@@ -252,5 +253,64 @@ func TestMetricsSliceCacheTrace(t *testing.T) {
 	warmKinds := kinds(warm)
 	if !warmKinds[trace.KindSliceCacheHit] || warmKinds[trace.KindExplore] {
 		t.Fatalf("warm slice kinds = %v, want a hit and no exploration", warmKinds)
+	}
+}
+
+// TestExplorationStats pins the serving-layer observability of the
+// memoized explorer: every fresh memoized run — fixed experiment or
+// parameter point — adds its counters to the /stats exploration
+// section and the repro_exploration_* series on /metrics, while
+// experiments that explore nothing and cache hits add none.
+func TestExplorationStats(t *testing.T) {
+	store, err := cache.Open(t.TempDir(), cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(Options{Cache: store}))
+	defer ts.Close()
+
+	fetch := func(path string) {
+		t.Helper()
+		if status, body := get(t, ts, path); status != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, status, body)
+		}
+	}
+	fetch("/experiments/E1")
+	if ex := getStats(t, ts).Exploration; ex != nil {
+		t.Fatalf("exploration section after E1 only: %+v", ex)
+	}
+	if _, body := get(t, ts, "/metrics"); strings.Contains(body, "repro_exploration_") {
+		t.Fatal("/metrics exports exploration series before any exploration")
+	}
+
+	fetch("/experiments/E2")
+	fetch("/experiments/E2?format=csv") // a cache hit: explores nothing
+	ex := getStats(t, ts).Exploration
+	if ex == nil {
+		t.Fatal("no exploration section after a fresh E2")
+	}
+	want := StatsExploration{Runs: 1, Executions: 22080, Replays: 146, StatesVisited: 242, StatesPruned: 126}
+	if *ex != want {
+		t.Fatalf("exploration after E2 = %+v, want %+v", *ex, want)
+	}
+
+	fetch("/experiments/E2?k=3") // a fresh parameter point
+	ex = getStats(t, ts).Exploration
+	if ex.Runs != 2 || ex.Executions <= want.Executions || ex.Replays <= want.Replays {
+		t.Fatalf("exploration after E2?k=3 = %+v, want a second run on top of %+v", *ex, want)
+	}
+
+	_, body := get(t, ts, "/metrics")
+	for _, line := range []string{
+		"# TYPE repro_exploration_runs_total counter",
+		"repro_exploration_runs_total 2",
+		"repro_exploration_executions_total ",
+		"repro_exploration_replays_total ",
+		"repro_exploration_states_visited_total ",
+		"repro_exploration_states_pruned_total ",
+	} {
+		if !strings.Contains(body, line) {
+			t.Errorf("/metrics lacks %q", line)
+		}
 	}
 }

@@ -40,8 +40,9 @@ import (
 )
 
 // DefaultTimeout bounds one experiment execution when Options.Timeout
-// is zero — generous because the exhaustive explorations are the slow
-// tail, and a timeout that fires mid-exploration wastes the work.
+// is zero — generous because the slowest experiments and the larger
+// parameter points take seconds, and a timeout that fires
+// mid-exploration wastes the work.
 const DefaultTimeout = 2 * time.Minute
 
 // RegistryVersionHeader carries experiments.RegistryVersion on every
@@ -96,14 +97,6 @@ type Options struct {
 	// registry is the real one, none under an override unless the
 	// override opts in here.
 	Families map[string]experiments.Family
-	// Reduce runs reduced-capable experiments
-	// (experiments.Reduced()) through the canonical-state memoized
-	// explorer (experiments.Options.Reduce). Tables and wire bytes are
-	// unchanged; the explorer's counters accumulate into the /stats
-	// exploration section. Backend execution and prefix slices are
-	// unaffected — slices keep their exhaustive byte-identical
-	// contract.
-	Reduce bool
 	// Journal receives one span per request (keyed by the
 	// Repro-Request-ID header, minted here when absent) and backs
 	// GET /trace/{id}; nil means a private journal with the default
@@ -141,17 +134,15 @@ type Server struct {
 	mu        sync.Mutex
 	cooldowns map[string]cooldownEntry
 
-	reduce bool
-
 	inFlight atomic.Int64
 	requests atomic.Int64
 	statsMu  sync.Mutex
 	perExp   map[string]*expStat
-	// memoMu guards the accumulated reduced-exploration counters
-	// (reducedRuns plus the summed MemoStats) behind /stats.
-	memoMu      sync.Mutex
-	reducedRuns int64
-	memoTotals  sched.MemoStats
+	// memoMu guards the accumulated memoized-exploration counters
+	// (memoRuns plus the summed sched.Stats) behind /stats.
+	memoMu     sync.Mutex
+	memoRuns   int64
+	memoTotals sched.Stats
 	// endpointLat holds the per-endpoint latency histograms (fixed
 	// key set, built at New): recording is lock-free on the request
 	// path, /stats snapshots them.
@@ -163,12 +154,6 @@ func New(opts Options) *Server {
 	reg := opts.Registry
 	if reg == nil {
 		reg = experiments.Registry()
-		// Heavy opt-in experiments (E16) are served on demand like any
-		// other id; they stay out of the default engine sweep because
-		// requests name experiments explicitly here.
-		for id, r := range experiments.Heavy() {
-			reg[id] = r
-		}
 	}
 	ids := make([]string, 0, len(reg))
 	for id := range reg {
@@ -202,7 +187,6 @@ func New(opts Options) *Server {
 		timeout:      timeout,
 		backend:      opts.Backend,
 		paramBackend: opts.ParamBackend,
-		reduce:       opts.Reduce,
 		shardables:   shardables,
 		families:     families,
 		exploreSem:   make(chan struct{}, sliceExploreSlots),
@@ -655,25 +639,18 @@ func (s *Server) execute(reqID, id string) (experiments.Result, bool, error) {
 			res, err := s.backend(ctx, id)
 			return res, err
 		}
-		// Jobs <= 0 means GOMAXPROCS: irrelevant to this single-id run's
-		// experiment pool, but in reduced mode it is also the memoized
-		// explorer's worker fan-out, so the server's reduced runs scale
-		// across cores (bytes are worker-count-invariant).
 		results, err := experiments.Run(context.Background(), experiments.Options{
 			IDs:      []string{id},
 			Timeout:  timeout,
 			Registry: s.reg,
 			Cache:    s.cache,
-			Reduce:   s.reduce,
 		})
 		if err != nil {
 			return experiments.Result{}, err
 		}
-		if results[0].Reduced {
-			// Inside the flight: counted once per execution, not once
-			// per waiter sharing it.
-			s.recordReduced(results[0].Memo)
-		}
+		// Inside the flight: counted once per execution, not once per
+		// waiter sharing it.
+		s.recordExploration(results[0])
 		return results[0], nil
 	})
 	if err != nil {
@@ -717,6 +694,7 @@ func (s *Server) executeParam(reqID, id string, ps experiments.ParamSet) (experi
 			Timeout: timeout,
 			Cache:   s.cache,
 		})
+		s.recordExploration(res)
 		return res, nil
 	})
 	if err != nil {

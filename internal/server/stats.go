@@ -60,27 +60,22 @@ type StatsResponse struct {
 	// most hist.Growth (≈18.9%).
 	Endpoints map[string]hist.Snapshot `json:"endpoints"`
 	// Exploration accumulates the memoized explorer's counters over
-	// every reduced run served (Options.Reduce); absent until the first
-	// reduced run.
+	// every fresh memoized run this process executed (E2, E15, E16 and
+	// their parameter points; cache hits explore nothing); absent until
+	// the first one.
 	Exploration *StatsExploration `json:"exploration,omitempty"`
 }
 
 // StatsExploration sums the memoized exploration counters
-// (sched.MemoStats) across the reduced runs this process executed —
-// the observability half of the reduced mode: executions accounted,
-// replays actually performed, and the visited/pruned state totals.
-// StatesShared counts memo entries reused across the parallel
-// explorer's prefix ranges (0 on serial runs); Workers sums each
-// run's goroutine fan-out, so workers/reduced_runs is the average
-// parallelism the reduced path actually got.
+// (sched.Stats) across the fresh memoized runs this process executed:
+// executions accounted, replays actually performed, and the
+// visited/pruned state totals.
 type StatsExploration struct {
-	ReducedRuns   int64 `json:"reduced_runs"`
+	Runs          int64 `json:"runs"`
 	Executions    int64 `json:"executions"`
 	Replays       int64 `json:"replays"`
 	StatesVisited int64 `json:"states_visited"`
 	StatesPruned  int64 `json:"states_pruned"`
-	StatesShared  int64 `json:"states_shared"`
-	Workers       int64 `json:"workers"`
 }
 
 // StatsCache mirrors cache.Stats on the wire. The slice_* counters
@@ -147,37 +142,39 @@ func (s *Server) record(endpoint, id string, d time.Duration, failed bool) {
 	st.lat.Record(d)
 }
 
-// recordReduced folds one reduced run's explorer counters into the
-// /stats exploration totals.
-func (s *Server) recordReduced(m sched.MemoStats) {
+// recordExploration folds a result's memoized-exploration counters
+// into the /stats exploration totals. Only fresh memoized runs carry
+// counters, so cache hits, backend results and experiments that
+// explore no schedule tree are skipped.
+func (s *Server) recordExploration(res experiments.Result) {
+	m := res.Memo
+	if m == (sched.Stats{}) {
+		return
+	}
 	s.memoMu.Lock()
 	defer s.memoMu.Unlock()
-	s.reducedRuns++
+	s.memoRuns++
 	s.memoTotals.Executions += m.Executions
 	s.memoTotals.Replays += m.Replays
 	s.memoTotals.StatesVisited += m.StatesVisited
 	s.memoTotals.StatesPruned += m.StatesPruned
-	s.memoTotals.StatesShared += m.StatesShared
-	s.memoTotals.Workers += m.Workers
 }
 
-// explorationStats snapshots the reduced-run totals, nil before the
-// first reduced run so the section stays absent on exhaustive-only
-// processes.
+// explorationStats snapshots the memoized-run totals, nil before the
+// first one so the section stays absent on processes that explored
+// nothing.
 func (s *Server) explorationStats() *StatsExploration {
 	s.memoMu.Lock()
 	defer s.memoMu.Unlock()
-	if s.reducedRuns == 0 {
+	if s.memoRuns == 0 {
 		return nil
 	}
 	return &StatsExploration{
-		ReducedRuns:   s.reducedRuns,
+		Runs:          s.memoRuns,
 		Executions:    int64(s.memoTotals.Executions),
 		Replays:       int64(s.memoTotals.Replays),
 		StatesVisited: int64(s.memoTotals.StatesVisited),
 		StatesPruned:  int64(s.memoTotals.StatesPruned),
-		StatesShared:  int64(s.memoTotals.StatesShared),
-		Workers:       int64(s.memoTotals.Workers),
 	}
 }
 

@@ -81,8 +81,8 @@ import (
 
 const (
 	// DefaultRequestTimeout bounds one remote experiment fetch —
-	// generous because a cold exhaustive exploration legitimately
-	// takes up to the worker's own execution timeout (2m default).
+	// generous because a cold experiment legitimately takes up to
+	// the worker's own execution timeout (2m default).
 	DefaultRequestTimeout = 3 * time.Minute
 	// DefaultProbeTimeout bounds the startup /healthz and /stats
 	// probes; a worker that cannot answer a liveness check in this

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/memory"
 	"repro/internal/sched"
+	"repro/internal/sched/schedtest"
 )
 
 // scanRecord is what a test process observed: the per-process update
@@ -91,7 +92,7 @@ func TestAtomicSnapshotExhaustiveTwoProcs(t *testing.T) {
 		scans = nil
 		return atomicSystem(2, 1, &scans)
 	}
-	runs, err := sched.ExploreAll(factory, 1<<16, func(r *sched.Result) {
+	runs, err := schedtest.VisitAll(factory, 1<<16, func(r *sched.Result) {
 		if e := r.Err(); e != nil {
 			t.Fatalf("%v", e)
 		}
@@ -256,7 +257,7 @@ func TestImmediateSnapshotExhaustiveTwoProcs(t *testing.T) {
 		snaps = make([][]memory.Value, 2)
 		return immediateSystem(2, snaps)
 	}
-	runs, err := sched.ExploreAll(factory, 1<<16, func(r *sched.Result) {
+	runs, err := schedtest.VisitAll(factory, 1<<16, func(r *sched.Result) {
 		if e := r.Err(); e != nil {
 			t.Fatal(e)
 		}

@@ -2,7 +2,6 @@ package task
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/agreement"
 	"repro/internal/memory"
@@ -43,7 +42,7 @@ func NewAlg2System(plan *Plan) *Alg2System {
 }
 
 // StateKey fingerprints the system's global state for the memoized
-// explorer (sched.ExploreMemo): each process's component combines its
+// explorer (sched.Explore with Options.Memo): each process's component combines its
 // observation history and register contents across both shared
 // memories, and the canonicalizer applies the process-relabelling
 // reduction over the combined components. A process's local state —
@@ -203,197 +202,44 @@ func CheckRun(t *Task, input Pair, sys *Alg2System) error {
 	return nil
 }
 
-// ExploreAlg2 enumerates all crash-free interleavings of Algorithm 2 on
-// the given input and validates each execution, returning the number of
-// executions explored.
-func ExploreAlg2(plan *Plan, input Pair) (int, error) {
-	var sys *Alg2System
-	factory := func() []sched.ProcFunc {
-		sys = NewAlg2System(plan)
-		return []sched.ProcFunc{sys.Proc(0, input[0]), sys.Proc(1, input[1])}
+// ExploreAlg2 explores every crash-free interleaving of Algorithm 2
+// on the given input under opts (sched.Explore) and validates each
+// explored execution with CheckRun; the first violation stops the
+// exploration and is returned. The counters' Executions is the number
+// of interleavings the sweep accounts for. In the memoized mode
+// (opts.Memo) only *visited* leaves are checked, and pruned subtrees
+// are vouched for by their memoized twins: a pruned leaf's canonical
+// state equals a validated one's, and the CheckRun verdict is a
+// function of that state.
+func ExploreAlg2(plan *Plan, input Pair, opts sched.Options) (sched.Stats, error) {
+	factory := func() sched.Instance {
+		sys := NewAlg2System(plan)
+		return sched.Instance{
+			Procs: []sched.ProcFunc{sys.Proc(0, input[0]), sys.Proc(1, input[1])},
+			State: sys.StateKey,
+			Leaf: func(r *sched.Result) (any, error) {
+				if e := r.Err(); e != nil {
+					return nil, e
+				}
+				if e := CheckRun(plan.Task, input, sys); e != nil {
+					return nil, fmt.Errorf("schedule %v: %w", r.Decisions, e)
+				}
+				return nil, nil
+			},
+		}
 	}
-	var checkErr error
-	runs, err := sched.ExploreAll(factory, 0, func(r *sched.Result) {
-		if checkErr != nil {
-			return
-		}
-		if e := r.Err(); e != nil {
-			checkErr = e
-			return
-		}
-		if e := CheckRun(plan.Task, input, sys); e != nil {
-			checkErr = fmt.Errorf("schedule %v: %w", r.Decisions, e)
-		}
-	})
-	if err != nil {
-		return runs, err
-	}
-	return runs, checkErr
+	_, stats, err := sched.Explore(factory, opts)
+	return stats, err
 }
 
-// Alg2Roots enumerates the live schedule prefixes of the exhaustive
-// Algorithm 2 exploration at the given cut depth
-// (sched.PartitionRoots), so the validation sweep can be carved into
-// disjoint ranges like any other exploration space.
+// Alg2Roots enumerates the live schedule prefixes of the Algorithm 2
+// exploration at the given cut depth (sched.PartitionRoots), so the
+// validation sweep can be carved into disjoint ranges like any other
+// exploration space.
 func Alg2Roots(plan *Plan, input Pair, depth int) ([][]int, error) {
 	factory := func() []sched.ProcFunc {
 		sys := NewAlg2System(plan)
 		return []sched.ProcFunc{sys.Proc(0, input[0]), sys.Proc(1, input[1])}
 	}
 	return sched.PartitionRoots(factory, 0, depth)
-}
-
-// ExploreAlg2Prefixes validates exactly the Algorithm 2 executions
-// extending the given schedule prefixes, with a bounded goroutine
-// fan-out (sched.ExplorePrefixes). The run count is the shard's
-// order-insensitive aggregate: counts from any partition of an
-// Alg2Roots root set sum to the ExploreAlg2 total, and a violation in
-// any slice surfaces as that slice's error.
-func ExploreAlg2Prefixes(plan *Plan, input Pair, workers int, roots [][]int) (int, error) {
-	// Done runs serially under the explorer's lock, so checkErr needs
-	// no further synchronization.
-	var checkErr error
-	factory := func() sched.Instance {
-		sys := NewAlg2System(plan)
-		return sched.Instance{
-			Procs: []sched.ProcFunc{sys.Proc(0, input[0]), sys.Proc(1, input[1])},
-			Done: func(r *sched.Result) {
-				if checkErr != nil {
-					return
-				}
-				if e := r.Err(); e != nil {
-					checkErr = e
-					return
-				}
-				if e := CheckRun(plan.Task, input, sys); e != nil {
-					checkErr = fmt.Errorf("schedule %v: %w", r.Decisions, e)
-				}
-			},
-		}
-	}
-	runs, err := sched.ExplorePrefixes(factory, 0, workers, roots)
-	if err != nil {
-		return runs, err
-	}
-	return runs, checkErr
-}
-
-// ExploreAlg2Memo is the memoized analogue of ExploreAlg2
-// (sched.ExploreMemo): the same execution count, with each *visited*
-// leaf validated by CheckRun and pruned subtrees vouched for by their
-// memoized twins — a pruned leaf's canonical state equals a validated
-// one's, and the CheckRun verdict is a function of that state.
-func ExploreAlg2Memo(plan *Plan, input Pair) (sched.MemoStats, error) {
-	return ExploreAlg2MemoPrefixes(plan, input, [][]int{{}})
-}
-
-// ExploreAlg2MemoPrefixes is ExploreAlg2Memo restricted to the
-// subtrees under the given schedule prefixes
-// (sched.ExploreMemoPrefixes). Stats.Executions from any partition of
-// an Alg2Roots root set sum to the ExploreAlg2 total, and a
-// validation violation in any visited leaf surfaces as the slice's
-// error.
-func ExploreAlg2MemoPrefixes(plan *Plan, input Pair, roots [][]int) (sched.MemoStats, error) {
-	// Leaf runs serially inside the explorer's DFS, so checkErr needs
-	// no synchronization. It returns no contribution: the execution
-	// count in MemoStats is the aggregate.
-	var checkErr error
-	factory := func() sched.MemoInstance {
-		sys := NewAlg2System(plan)
-		return sched.MemoInstance{
-			Procs: []sched.ProcFunc{sys.Proc(0, input[0]), sys.Proc(1, input[1])},
-			State: sys.StateKey,
-			Leaf: func(r *sched.Result) any {
-				if checkErr != nil {
-					return nil
-				}
-				if e := r.Err(); e != nil {
-					checkErr = e
-					return nil
-				}
-				if e := CheckRun(plan.Task, input, sys); e != nil {
-					checkErr = fmt.Errorf("schedule %v: %w", r.Decisions, e)
-				}
-				return nil
-			},
-		}
-	}
-	_, stats, err := sched.ExploreMemoPrefixes(factory, sched.MemoOptions{}, roots)
-	if err != nil {
-		return stats, err
-	}
-	return stats, checkErr
-}
-
-// ExploreAlg2MemoParallel is ExploreAlg2Memo across workers goroutines
-// sharing one concurrent memo table (sched.ExploreMemoParallel): the
-// identical execution count, with visited leaves validated from
-// whichever worker reaches them. workers <= 0 means
-// sched.DefaultExploreWorkers.
-func ExploreAlg2MemoParallel(plan *Plan, input Pair, workers int) (sched.MemoStats, error) {
-	factory, check := alg2MemoFactory(plan, input)
-	stats, err := runAlg2Memo(func() (sched.MemoStats, error) {
-		_, s, e := sched.ExploreMemoParallel(factory, sched.MemoOptions{}, workers)
-		return s, e
-	}, check)
-	return stats, err
-}
-
-// ExploreAlg2MemoParallelPrefixes is ExploreAlg2MemoPrefixes across
-// workers goroutines sharing one memo table
-// (sched.ExploreMemoParallelPrefixes).
-func ExploreAlg2MemoParallelPrefixes(plan *Plan, input Pair, workers int, roots [][]int) (sched.MemoStats, error) {
-	factory, check := alg2MemoFactory(plan, input)
-	return runAlg2Memo(func() (sched.MemoStats, error) {
-		_, s, e := sched.ExploreMemoParallelPrefixes(factory, sched.MemoOptions{}, workers, roots)
-		return s, e
-	}, check)
-}
-
-// alg2MemoFactory builds the validating MemoInstance factory the
-// parallel explorers use. Unlike the serial path's closure, leaves run
-// from concurrent workers, so the first-violation record is mutex-
-// guarded; check() reads it after the exploration quiesces.
-func alg2MemoFactory(plan *Plan, input Pair) (factory func() sched.MemoInstance, check func() error) {
-	var mu sync.Mutex
-	var checkErr error
-	factory = func() sched.MemoInstance {
-		sys := NewAlg2System(plan)
-		return sched.MemoInstance{
-			Procs: []sched.ProcFunc{sys.Proc(0, input[0]), sys.Proc(1, input[1])},
-			State: sys.StateKey,
-			Leaf: func(r *sched.Result) any {
-				var e error
-				if e = r.Err(); e == nil {
-					if e = CheckRun(plan.Task, input, sys); e != nil {
-						e = fmt.Errorf("schedule %v: %w", r.Decisions, e)
-					}
-				}
-				if e != nil {
-					mu.Lock()
-					if checkErr == nil {
-						checkErr = e
-					}
-					mu.Unlock()
-				}
-				return nil
-			},
-		}
-	}
-	check = func() error {
-		mu.Lock()
-		defer mu.Unlock()
-		return checkErr
-	}
-	return factory, check
-}
-
-// runAlg2Memo runs one memoized exploration and folds the deferred
-// validation verdict in, explorer errors first.
-func runAlg2Memo(explore func() (sched.MemoStats, error), check func() error) (sched.MemoStats, error) {
-	stats, err := explore()
-	if err != nil {
-		return stats, err
-	}
-	return stats, check()
 }

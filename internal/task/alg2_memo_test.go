@@ -29,7 +29,7 @@ func alg2FP(sys *Alg2System, input Pair) string {
 // exploration to the exhaustive one across tasks and inputs: identical
 // fingerprint multisets (via a sched-level differential on the same
 // system factory), identical execution counts from the public
-// ExploreAlg2Memo, and real pruning.
+// ExploreAlg2, and real pruning.
 func TestAlg2MemoMatchesExhaustive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive exploration")
@@ -39,32 +39,24 @@ func TestAlg2MemoMatchesExhaustive(t *testing.T) {
 		for _, input := range plan.Task.Inputs {
 			name := fmt.Sprintf("%s_in%d%d", tk.Name, input[0], input[1])
 			t.Run(name, func(t *testing.T) {
-				// Exhaustive fingerprint multiset.
-				want := schedtest.Counts{}
-				var cur *Alg2System
-				factory := func() []sched.ProcFunc {
-					cur = NewAlg2System(plan)
-					return []sched.ProcFunc{cur.Proc(0, input[0]), cur.Proc(1, input[1])}
-				}
-				runs, err := sched.ExploreAll(factory, 0, func(r *sched.Result) {
-					want.Add(alg2FP(cur, input))
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				// Memoized multiset over the identical system.
-				memoFactory := func() sched.MemoInstance {
+				// One fingerprinting system factory, explored by both
+				// modes: exhaustive (the oracle) and memoized.
+				factory := func() sched.Instance {
 					sys := NewAlg2System(plan)
-					return sched.MemoInstance{
+					return sched.Instance{
 						Procs: []sched.ProcFunc{sys.Proc(0, input[0]), sys.Proc(1, input[1])},
 						State: sys.StateKey,
-						Leaf: func(*sched.Result) any {
-							return schedtest.Counts{alg2FP(sys, input): 1}
+						Leaf: func(*sched.Result) (any, error) {
+							return schedtest.Counts{alg2FP(sys, input): 1}, nil
 						},
 					}
 				}
-				agg, stats, err := sched.ExploreMemo(memoFactory, sched.MemoOptions{Merge: schedtest.Merge})
+				whole, exh, err := sched.Explore(factory, sched.Options{Merge: schedtest.Merge})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, runs := schedtest.AsCounts(whole), exh.Executions
+				agg, stats, err := sched.Explore(factory, sched.Options{Memo: true, Merge: schedtest.Merge})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,12 +74,12 @@ func TestAlg2MemoMatchesExhaustive(t *testing.T) {
 				}
 
 				// The public validating sweep agrees on the count.
-				mstats, err := ExploreAlg2Memo(plan, input)
+				mstats, err := ExploreAlg2(plan, input, sched.Options{Memo: true})
 				if err != nil {
-					t.Fatalf("ExploreAlg2Memo: %v", err)
+					t.Fatalf("ExploreAlg2: %v", err)
 				}
 				if mstats.Executions != runs {
-					t.Fatalf("ExploreAlg2Memo accounts for %d executions, want %d", mstats.Executions, runs)
+					t.Fatalf("memoized ExploreAlg2 accounts for %d executions, want %d", mstats.Executions, runs)
 				}
 			})
 		}
@@ -104,10 +96,11 @@ func TestAlg2MemoPrefixUnion(t *testing.T) {
 	task := ChoiceTask(2)
 	plan := planFor(t, task)
 	input := task.Inputs[0]
-	whole, err := ExploreAlg2(plan, input)
+	exh, err := ExploreAlg2(plan, input, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	whole := exh.Executions
 	for _, depth := range []int{0, 4} {
 		roots, err := Alg2Roots(plan, input, depth)
 		if err != nil {
@@ -116,7 +109,7 @@ func TestAlg2MemoPrefixUnion(t *testing.T) {
 		if depth > 0 && len(roots) < 2 {
 			t.Fatalf("depth %d partition has %d roots", depth, len(roots))
 		}
-		stats, err := ExploreAlg2MemoPrefixes(plan, input, roots)
+		stats, err := ExploreAlg2(plan, input, sched.Options{Roots: roots, Memo: true})
 		if err != nil {
 			t.Fatalf("depth %d: %v", depth, err)
 		}
@@ -125,7 +118,7 @@ func TestAlg2MemoPrefixUnion(t *testing.T) {
 		}
 		total := 0
 		for _, root := range roots {
-			s, err := ExploreAlg2MemoPrefixes(plan, input, [][]int{root})
+			s, err := ExploreAlg2(plan, input, sched.Options{Roots: [][]int{root}, Memo: true})
 			if err != nil {
 				t.Fatalf("depth %d root %v: %v", depth, root, err)
 			}
@@ -152,7 +145,9 @@ func TestAlg2MemoSurfacesViolation(t *testing.T) {
 	doctored := *plan
 	doctored.Task = &bad
 
-	if _, err := ExploreAlg2Memo(&doctored, input); err == nil {
-		t.Fatal("memoized sweep accepted a plan whose outputs are all illegal")
+	for _, memo := range []bool{false, true} {
+		if _, err := ExploreAlg2(&doctored, input, sched.Options{Memo: memo}); err == nil {
+			t.Fatalf("memo=%v: sweep accepted a plan whose outputs are all illegal", memo)
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package task
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sched"
+)
 
 // TestAlg2PrefixShardingDifferential: the exhaustive Algorithm 2
 // validation sweep splits over an Alg2Roots partition exactly like the
@@ -14,10 +18,11 @@ func TestAlg2PrefixShardingDifferential(t *testing.T) {
 	task := ChoiceTask(2)
 	plan := planFor(t, task)
 	input := task.Inputs[0]
-	whole, err := ExploreAlg2(plan, input)
+	exh, err := ExploreAlg2(plan, input, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	whole := exh.Executions
 	for _, depth := range []int{0, 4} {
 		roots, err := Alg2Roots(plan, input, depth)
 		if err != nil {
@@ -28,11 +33,11 @@ func TestAlg2PrefixShardingDifferential(t *testing.T) {
 		}
 		total := 0
 		for _, root := range roots {
-			n, err := ExploreAlg2Prefixes(plan, input, 2, [][]int{root})
+			n, err := ExploreAlg2(plan, input, sched.Options{Roots: [][]int{root}})
 			if err != nil {
 				t.Fatalf("slice %v: %v", root, err)
 			}
-			total += n
+			total += n.Executions
 		}
 		if total != whole {
 			t.Fatalf("depth %d: slices sum to %d executions, ExploreAlg2 visits %d", depth, total, whole)

@@ -33,11 +33,11 @@ func TestAlg2Exhaustive(t *testing.T) {
 	} {
 		plan := planFor(t, task)
 		for _, input := range task.Inputs {
-			runs, err := ExploreAlg2(plan, input)
+			stats, err := ExploreAlg2(plan, input, sched.Options{})
 			if err != nil {
-				t.Fatalf("%s input %v after %d runs: %v", task.Name, input, runs, err)
+				t.Fatalf("%s input %v after %d runs: %v", task.Name, input, stats.Executions, err)
 			}
-			if runs == 0 {
+			if stats.Executions == 0 {
 				t.Fatalf("%s input %v: no runs", task.Name, input)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sched"
+	"repro/internal/sched/schedtest"
 )
 
 func TestAlg2FastSampled(t *testing.T) {
@@ -52,7 +53,7 @@ func TestAlg2FastExhaustiveSmall(t *testing.T) {
 			sys = NewAlg2FastSystem(plan, fa)
 			return []sched.ProcFunc{sys.Proc(0, input[0]), sys.Proc(1, input[1])}
 		}
-		runs, err := sched.ExploreAll(factory, 0, func(r *sched.Result) {
+		runs, err := schedtest.VisitAll(factory, 0, func(r *sched.Result) {
 			if e := r.Err(); e != nil {
 				t.Fatalf("input %v: %v", input, e)
 			}
