@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/sched"
 )
 
 // engineTestIDs returns a sweep that is cheap under -short and complete
@@ -130,6 +132,37 @@ func TestEnginePanicIsolation(t *testing.T) {
 	}
 	if err := FirstError(results); err == nil || !strings.Contains(err.Error(), "E1") {
 		t.Fatalf("FirstError = %v, want E1 failure", err)
+	}
+}
+
+// TestEngineProcessPanicIsolation: a panic inside a simulated process
+// (not in the runner itself) reaches the engine's panic isolation
+// through sched.Run, so it fails that experiment alone instead of
+// killing the binary; the siblings, which also drive sched, complete.
+func TestEngineProcessPanicIsolation(t *testing.T) {
+	reg := map[string]Runner{
+		"E1": func() (*Table, error) {
+			procs := []sched.ProcFunc{
+				func(p *sched.Proc) error { p.Step(); return nil },
+				func(p *sched.Proc) error { p.Step(); panic("process boom") },
+			}
+			_, err := sched.Run(sched.Config{Scheduler: &sched.RoundRobin{}}, procs)
+			return nil, err
+		},
+		"E3":  Registry()["E3"],
+		"E13": Registry()["E13"],
+	}
+	results, err := Run(context.Background(), Options{Registry: reg, IDs: []string{"E1", "E3", "E13"}, Jobs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results[0].Err == nil || !results[0].Panicked || !strings.Contains(results[0].Err.Error(), "process boom") {
+		t.Fatalf("process panic: got %+v, want a panicked failure carrying the panic value", results[0])
+	}
+	for _, r := range results[1:] {
+		if r.Err != nil || r.Table == nil {
+			t.Fatalf("sibling %s affected: %+v", r.ID, r)
+		}
 	}
 }
 

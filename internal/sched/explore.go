@@ -100,6 +100,7 @@ func Explore(factory func() Instance, opts Options) (any, Stats, error) {
 		roots = [][]int{{}}
 	}
 	e := &explorer{factory: factory, opts: opts}
+	defer func() { e.rn.close() }()
 	if opts.Memo {
 		e.memo = make(map[memoKey]memoEntry)
 	}
@@ -131,10 +132,11 @@ type explorer struct {
 	stats   Stats
 	memo    map[memoKey]memoEntry
 
-	// Replay state pools: one Result and one runner per active DFS
-	// frame, recycled across sibling subtrees.
+	// Replay state: one pooled Result per active DFS frame, recycled
+	// across sibling subtrees, and one runner whose process slots every
+	// replay reuses (a replay is done with it once runInto returns).
 	freeRes []*Result
-	freeRun []*runner
+	rn      runner
 }
 
 // merge folds a contribution into an aggregate under opts.Merge.
@@ -153,43 +155,38 @@ func (e *explorer) merge(into, from any) (any, error) {
 	}
 }
 
-// replay runs one fresh instance under sch into a pooled Result. The
-// caller hands the Result and runner back through release once it no
-// longer reads the Result.
-func (e *explorer) replay(inst Instance, sch Scheduler) (*Result, *runner, error) {
+// replay runs one fresh instance under sch into a pooled Result, which
+// the caller hands back through release once it no longer reads it.
+func (e *explorer) replay(inst Instance, sch Scheduler) (*Result, error) {
 	var res *Result
 	if k := len(e.freeRes); k > 0 {
 		res, e.freeRes = e.freeRes[k-1], e.freeRes[:k-1]
 	} else {
 		res = &Result{}
 	}
-	var rn *runner
-	if k := len(e.freeRun); k > 0 {
-		rn, e.freeRun = e.freeRun[k-1], e.freeRun[:k-1]
+	if len(e.rn) != len(inst.Procs) {
+		e.rn.close()
+		e.rn = newRunner(len(inst.Procs))
 	}
-	if rn == nil || rn.n != len(inst.Procs) {
-		rn = newRunner(len(inst.Procs))
-	}
-	if _, err := runInto(Config{Scheduler: sch, MaxSteps: e.opts.MaxSteps}, inst.Procs, res, rn); err != nil {
-		return nil, nil, err
+	if _, err := runInto(Config{Scheduler: sch, MaxSteps: e.opts.MaxSteps}, inst.Procs, res, e.rn); err != nil {
+		return nil, err
 	}
 	e.stats.Replays++
-	return res, rn, nil
+	return res, nil
 }
 
-func (e *explorer) release(res *Result, rn *runner) {
+func (e *explorer) release(res *Result) {
 	e.freeRes = append(e.freeRes, res)
-	e.freeRun = append(e.freeRun, rn)
 }
 
 // exhaustiveDFS replays one execution under prefix, hands it to Leaf,
 // and recurses into every scheduler branch the execution did not take
 // after the prefix — once per leaf of the tree. The branches are
-// collected before recursing, so the replay's Result and runner go
-// straight back to the pool and one pair serves the whole walk.
+// collected before recursing, so the replay's Result goes straight back
+// to the pool and one Result serves the whole walk.
 func (e *explorer) exhaustiveDFS(prefix []int, seed bool) (any, error) {
 	inst := e.factory()
-	res, rn, err := e.replay(inst, &Replay{Prefix: prefix})
+	res, err := e.replay(inst, &Replay{Prefix: prefix})
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +201,7 @@ func (e *explorer) exhaustiveDFS(prefix []int, seed bool) (any, error) {
 		}
 	}
 	branches := untakenBranches(res, len(prefix))
-	e.release(res, rn)
+	e.release(res)
 	for _, branch := range branches {
 		sub, err := e.exhaustiveDFS(branch, false)
 		if err != nil {

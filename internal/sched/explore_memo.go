@@ -79,7 +79,7 @@ func (e *explorer) memoDFS(prefix []int, seed bool) (any, int, error) {
 		memo:   e.memo,
 		from:   len(prefix),
 	}
-	res, rn, err := e.replay(inst, probe)
+	res, err := e.replay(inst, probe)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -138,6 +138,6 @@ func (e *explorer) memoDFS(prefix []int, seed bool) (any, int, error) {
 		e.stats.StatesVisited++
 	}
 
-	e.release(res, rn)
+	e.release(res)
 	return contrib, leaves, nil
 }

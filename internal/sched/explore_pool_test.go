@@ -10,10 +10,12 @@ import (
 // consistent with a fresh Run.
 func TestRunIntoReuse(t *testing.T) {
 	res := &Result{}
-	var rn *runner
+	var rn runner
+	defer func() { rn.close() }()
 	for _, steps := range [][]int{{2, 2}, {3, 1}, {1, 1, 1}, {2, 2}} {
 		procs := stepSystem(steps)
-		if rn == nil || rn.n != len(procs) {
+		if len(rn) != len(procs) {
+			rn.close()
 			rn = newRunner(len(procs))
 		}
 		got, err := runInto(Config{Scheduler: Lowest{}}, procs, res, rn)

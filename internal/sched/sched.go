@@ -1,24 +1,27 @@
+//go:build go1.23
+
 // Package sched implements the asynchronous execution model of the paper:
 // n deterministic processes take atomic steps on a shared memory, with the
 // interleaving chosen by an adversary (the Scheduler), and crash failures
 // that permanently stop a process.
 //
-// Each process runs in its own goroutine (goroutines model asynchrony) but
-// every shared-memory operation is gated by a step handshake with a central
-// runner: the process announces that it is ready, blocks, and proceeds only
-// when the scheduler grants it the step. Only the granted process runs
-// between grants, so register operations are atomic exactly as in the
-// paper's model (§2: "two concurrent accesses to a same register never
-// occur").
+// Each process runs in a coroutine (an iter.Pull process slot), and every
+// shared-memory operation is gated by the central runner: the process
+// yields its step request and stays suspended until the scheduler grants
+// it the step, which resumes it by a direct coroutine switch. Only the
+// granted process runs between grants, so register operations are atomic
+// exactly as in the paper's model (§2: "two concurrent accesses to a same
+// register never occur"). A runner holds one slot per process and is
+// pooled: replay loops reuse its coroutines across runs.
 //
 // Crashes are scheduler decisions: a process whose step request is answered
-// with a crash unwinds its goroutine and never takes another step.
+// with a crash unwinds its coroutine and never takes another step.
 package sched
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"iter"
 )
 
 // Decision is a scheduler's answer: which process takes the next step, and
@@ -142,20 +145,10 @@ var (
 	ErrBudget = errors.New("sched: step budget exceeded")
 )
 
-// crashSignal unwinds a crashed process's goroutine. It never escapes the
-// package: the per-process wrapper recovers it.
+// crashSignal is the panic a crashed process's parked Step raises to
+// unwind its coroutine. It never escapes the package: the slot's exec
+// recovers it.
 type crashSignal struct{}
-
-type announceMsg struct {
-	pid   int
-	ready func() bool // nil: always enabled
-}
-
-type exitMsg struct {
-	pid     int
-	err     error
-	crashed bool
-}
 
 // Proc is a process's handle onto the runtime. Shared-memory bindings call
 // Step (or StepWhen) exactly once per atomic operation.
@@ -165,65 +158,127 @@ type Proc struct {
 	// N is the number of processes in the system.
 	N int
 
-	r *runner
+	s *slot
 }
 
-// Step blocks until the scheduler grants this process its next atomic step.
-// If the adversary crashes the process instead, the goroutine unwinds (the
-// process function never resumes).
+// Step suspends the process until the scheduler grants it its next atomic
+// step. If the adversary crashes the process instead, its coroutine
+// unwinds (the process function never resumes).
 func (p *Proc) Step() { p.StepWhen(nil) }
 
 // StepWhen is Step with an enabling condition: the scheduler will only
 // grant the step while ready() holds. It models waiting (e.g. for a
 // message or a register change) without unbounded busy-wait polling: the
-// process is simply not enabled until the condition is true. ready is
-// evaluated by the runner while all processes are parked, so it may read
-// shared state without races.
+// process is simply not enabled until the condition is true. StepWhen
+// yields ready to the runner, which evaluates it while every process is
+// suspended, so it may read shared state without races.
 func (p *Proc) StepWhen(ready func() bool) {
-	p.r.announce <- announceMsg{pid: p.ID, ready: ready}
-	if granted := <-p.r.grants[p.ID]; !granted {
+	s := p.s
+	if !s.yield(ready) || s.crash {
 		panic(crashSignal{})
 	}
 }
 
-type runner struct {
-	n        int
-	announce chan announceMsg
-	grants   []chan bool
-	exit     chan exitMsg
-	parked   map[int]func() bool
+// slot is one pooled process coroutine: an iter.Pull coroutine that runs
+// the ProcFunc installed for the current run to completion, records how it
+// exited, and yields with done set before waiting for the next run.
+// Resuming a slot is a direct coroutine switch; the runner and the slots
+// never run at the same time.
+type slot struct {
+	proc  Proc
+	next  func() (func() bool, bool)
+	stop  func()
+	yield func(func() bool) bool
+
+	fn    ProcFunc
+	ready func() bool // the parked step's condition; nil: always enabled
+	crash bool        // the runner's answer to the parked step: unwind
+
+	done    bool // fn has returned or crashed this run
+	crashed bool
+	err     error
 }
 
-// newRunner builds the handshake channels for an n-process run. The
-// channels are unbuffered and drained by the time a run returns, so a
-// runner is reusable across replays of same-arity systems.
-func newRunner(n int) *runner {
-	r := &runner{
-		n:        n,
-		announce: make(chan announceMsg),
-		grants:   make([]chan bool, n),
-		exit:     make(chan exitMsg),
-		parked:   make(map[int]func() bool, n),
+// loop is the slot's coroutine body: one iteration per run.
+func (s *slot) loop(yield func(func() bool) bool) {
+	s.yield = yield
+	for {
+		s.exec()
+		s.fn, s.done = nil, true
+		if !yield(nil) {
+			return // closed
+		}
 	}
-	for i := range r.grants {
-		r.grants[i] = make(chan bool)
+}
+
+// exec runs the installed ProcFunc, turning a crash into s.crashed. Any
+// other panic propagates to the runner's resume, and so to Run's caller.
+func (s *slot) exec() {
+	defer func() {
+		if rec := recover(); rec != nil {
+			if _, ok := rec.(crashSignal); !ok {
+				panic(rec)
+			}
+			s.crashed = true
+		}
+	}()
+	s.err = s.fn(&s.proc)
+}
+
+// resume switches to the slot until it parks at its next step or exits.
+func (s *slot) resume() { s.ready, _ = s.next() }
+
+// runner is the pool of process slots of one n-process system, one slot
+// per pid. Every run leaves each slot waiting at its exit yield, so a
+// runner serves any number of same-arity runs; close ends it.
+type runner []*slot
+
+func newRunner(n int) runner {
+	r := make(runner, n)
+	for i := range r {
+		s := &slot{proc: Proc{ID: i, N: n}}
+		s.proc.s = s
+		s.next, s.stop = iter.Pull(s.loop)
+		r[i] = s
 	}
 	return r
+}
+
+// close ends every slot's coroutine; a slot still parked inside a step
+// unwinds as a crash. It is safe on a nil runner and after a run panicked.
+func (r runner) close() {
+	for _, s := range r {
+		s.stop()
+	}
+}
+
+// crashAll unwinds every slot still parked inside a step.
+func (r runner) crashAll() {
+	for _, s := range r {
+		if !s.done {
+			s.crash = true
+			s.resume()
+		}
+	}
 }
 
 // Run executes the processes under the configured scheduler until every
 // process has returned, crashed, or the run is aborted (deadlock/budget).
 // The returned error is non-nil only for configuration mistakes; execution
-// outcomes (including deadlock) are reported in the Result.
+// outcomes (including deadlock) are reported in the Result. A panic in a
+// process other than a crash re-panics in Run's caller with the same value.
 func Run(cfg Config, procs []ProcFunc) (*Result, error) {
-	return runInto(cfg, procs, nil, nil)
+	r := newRunner(len(procs))
+	defer r.close()
+	return runInto(cfg, procs, nil, r)
 }
 
-// runInto is Run with reusable buffers for replay loops: res is reset
-// and reused when non-nil (its contents are valid until the next
-// runInto call with the same res), and rn's handshake channels are
-// reused when its process count matches. Passing nil for both is Run.
-func runInto(cfg Config, procs []ProcFunc, res *Result, rn *runner) (*Result, error) {
+// runInto is Run on the caller's runner r, which must have len(procs)
+// slots, with a reusable Result for replay loops: res is reset and
+// reused when non-nil (its contents are valid until the next runInto
+// call with the same res). On return, error or not, every slot has
+// exited and r is ready for the next run.
+func runInto(cfg Config, procs []ProcFunc, res *Result, r runner) (*Result, error) {
 	n := len(procs)
 	if n == 0 {
 		return nil, errors.New("sched: no processes")
@@ -235,131 +290,69 @@ func runInto(cfg Config, procs []ProcFunc, res *Result, rn *runner) (*Result, er
 	if maxSteps <= 0 {
 		maxSteps = DefaultMaxSteps
 	}
-
-	r := rn
-	if r == nil || r.n != n {
-		r = newRunner(n)
-	}
-
-	for i, fn := range procs {
-		go runProc(r, i, n, fn)
-	}
-
 	if res == nil {
 		res = &Result{}
 	}
 	res.reset(n)
 
-	live := n
-	parked := r.parked
-	for live > 0 {
-		// Gather until every live process is parked at a step request.
-		for len(parked) < live {
-			select {
-			case m := <-r.announce:
-				parked[m.pid] = m.ready
-			case e := <-r.exit:
-				live--
-				if e.crashed {
-					res.Crashed[e.pid] = true
-				} else {
-					res.Errs[e.pid] = e.err
-				}
-			}
-		}
-		if live == 0 {
-			break
-		}
-
-		// Build the enabled set in the Result's flat arena. The
-		// three-index slice keeps later appends from aliasing this
-		// set; sets already stored in EnabledSets stay valid even if
-		// the arena grows (they keep pointing at the old array).
+	for i, s := range r {
+		s.fn, s.crash, s.done, s.crashed, s.err = procs[i], false, false, false, nil
+		s.resume()
+	}
+	for {
+		// Build the enabled set, in pid order, in the Result's flat
+		// arena. The three-index slice keeps later appends from aliasing
+		// this set; sets already stored in EnabledSets stay valid even
+		// if the arena grows (they keep pointing at the old array).
 		base := len(res.enabledArena)
-		for pid, cond := range parked {
-			if cond == nil || cond() {
+		live := false
+		for pid, s := range r {
+			if s.done {
+				continue
+			}
+			live = true
+			if s.ready == nil || s.ready() {
 				res.enabledArena = append(res.enabledArena, pid)
 			}
 		}
+		if !live {
+			break
+		}
 		enabled := res.enabledArena[base:len(res.enabledArena):len(res.enabledArena)]
-		sort.Ints(enabled)
 
-		abort := false
-		var d Decision
+		d := Decision{Pid: Halt}
 		switch {
 		case len(enabled) == 0:
 			res.Deadlocked = true
-			abort = true
 		case res.TotalSteps >= maxSteps:
 			res.BudgetExceeded = true
-			abort = true
 		default:
 			d = cfg.Scheduler.Next(enabled)
-			if d.Pid == Halt {
-				abort = true
-			} else if !contains(enabled, d.Pid) {
+			if d.Pid != Halt && !contains(enabled, d.Pid) {
+				r.crashAll()
 				return nil, fmt.Errorf("sched: scheduler chose pid %d not in enabled set %v", d.Pid, enabled)
 			}
 		}
-
-		if abort {
-			// Crash every parked process to unwind its goroutine.
-			for pid := range parked {
-				delete(parked, pid)
-				r.grants[pid] <- false
-				e := <-r.exit
-				live--
-				res.Crashed[e.pid] = true
-			}
-			// Any processes currently running an op will park or exit.
-			for live > 0 {
-				select {
-				case m := <-r.announce:
-					r.grants[m.pid] <- false
-					e := <-r.exit
-					live--
-					res.Crashed[e.pid] = true
-				case e := <-r.exit:
-					live--
-					if e.crashed {
-						res.Crashed[e.pid] = true
-					} else {
-						res.Errs[e.pid] = e.err
-					}
-				}
-			}
+		if d.Pid == Halt {
+			r.crashAll()
 			break
 		}
 
 		res.Decisions = append(res.Decisions, d)
 		res.EnabledSets = append(res.EnabledSets, enabled)
-		delete(parked, d.Pid)
+		s := r[d.Pid]
 		if d.Crash {
-			r.grants[d.Pid] <- false
-			e := <-r.exit
-			live--
-			res.Crashed[e.pid] = true
-			continue
+			s.crash = true
+		} else {
+			res.Steps[d.Pid]++
+			res.TotalSteps++
 		}
-		res.Steps[d.Pid]++
-		res.TotalSteps++
-		r.grants[d.Pid] <- true
+		s.resume()
+	}
+	for pid, s := range r {
+		res.Crashed[pid], res.Errs[pid] = s.crashed, s.err
 	}
 	return res, nil
-}
-
-func runProc(r *runner, id, n int, fn ProcFunc) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if _, ok := rec.(crashSignal); ok {
-				r.exit <- exitMsg{pid: id, crashed: true}
-				return
-			}
-			panic(rec)
-		}
-	}()
-	err := fn(&Proc{ID: id, N: n, r: r})
-	r.exit <- exitMsg{pid: id, err: err}
 }
 
 func contains(xs []int, x int) bool {
