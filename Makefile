@@ -32,7 +32,7 @@ lint:
 
 # cover reports internal/sched + internal/shard + internal/cache +
 # internal/hist + internal/trace coverage — the packages the
-# prefix-sharding protocol, the artifact-cache hierarchy, and the
+# exploration core, the fleet coordinator, the result cache, and the
 # latency/tracing observability layer live in. CI enforces a floor on
 # the combined total.
 cover:
@@ -40,7 +40,7 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 # load-smoke boots a two-worker figuresd fleet and drives a short
-# mixed whole/slice load through `figures load`, writing
+# mixed whole/param load through `figures load`, writing
 # BENCH_load.json and asserting zero errors and per-endpoint
 # p50/p95/p99 on /stats — the latency-trajectory gate CI runs on
 # every push.
@@ -67,13 +67,11 @@ explore-gate:
 
 # fuzz-smoke runs each fuzz target briefly: arbitrary bytes must never
 # panic the results decoder, the cache read path, the canonical-state
-# fingerprint, the prefixes-to-memoized-exploration pipeline, or the
-# family parameter parser.
+# fingerprint, or the family parameter parser.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeJSON$$' -fuzztime=10s ./internal/experiments
 	$(GO) test -run='^$$' -fuzz='^FuzzCacheGet$$' -fuzztime=10s ./internal/cache
 	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalState$$' -fuzztime=10s ./internal/memory
-	$(GO) test -run='^$$' -fuzz='^FuzzPrefixesMemoExplore$$' -fuzztime=10s ./internal/experiments
 	$(GO) test -run='^$$' -fuzz='^FuzzParseParams$$' -fuzztime=10s ./internal/experiments
 
 figures:

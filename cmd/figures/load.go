@@ -21,7 +21,7 @@ import (
 
 // runLoad is the `figures load` subcommand: the load harness
 // (internal/load) behind flags. It drives a figuresd fleet with a
-// mixed whole/slice workload at a target QPS, prints a human summary
+// mixed whole/param workload at a target QPS, prints a human summary
 // to stderr, and writes the machine-readable summary (the
 // BENCH_load.json trajectory CI uploads) to -o or stdout.
 func runLoad(args []string, stdout, stderr io.Writer) error {
@@ -32,11 +32,10 @@ func runLoad(args []string, stdout, stderr io.Writer) error {
 		qps         = fs.Float64("qps", 50, "target request arrival rate across all targets")
 		duration    = fs.Duration("duration", 10*time.Second, "how long to generate load")
 		warmup      = fs.Duration("warmup", 0, "run the same mix unmeasured first (warms caches; 0 = measure cold)")
-		mixFlag     = fs.String("mix", "whole:1", "traffic mix as kind:weight pairs, e.g. whole:3,param:1,slice:1")
+		mixFlag     = fs.String("mix", "whole:1", "traffic mix as kind:weight pairs, e.g. whole:3,param:1")
 		exps        = fs.String("experiments", "", "comma-separated experiment ids to spread requests over, optionally weighted (E1:3); default: every registered experiment")
 		paramPoints = fs.String("param-points", "", "comma-separated parameter points param-kind requests cycle through, as family:name=value pairs joined with + (e.g. E2:k=3+i0=0); default: each listed family's defaults spelled out")
 		concurrency = fs.Int("concurrency", 0, "max in-flight requests (0 = 4×GOMAXPROCS)")
-		sliceRanges = fs.Int("slice-ranges", 4, "prefix ranges each shardable experiment is carved into for slice fetches")
 		format      = fs.String("format", "json", "whole-experiment fetch format: text, json, or csv")
 		reqTimeout  = fs.Duration("request-timeout", load.DefaultRequestTimeout, "per-request limit; slower responses count as errors")
 		outFile     = fs.String("o", "", "write the JSON summary to this file instead of stdout")
@@ -100,7 +99,6 @@ func runLoad(args []string, stdout, stderr io.Writer) error {
 		Mix:            mix,
 		Experiments:    ids,
 		ParamPoints:    points,
-		SliceRanges:    *sliceRanges,
 		Format:         *format,
 		Logf:           logf,
 	})

@@ -9,11 +9,11 @@
 //	        [-cache-dir DIR] [-no-cache] [-workers HOSTS]
 //	        [-param k=7,i0=0] [-o FILE] [-list] [-v]
 //	figures load -addr HOSTS [-qps N] [-duration D] [-warmup D]
-//	        [-mix whole:3,slice:1] [-experiments E1,E2,E15] [-o FILE]
+//	        [-mix whole:3,param:1] [-experiments E1,E2,E15] [-o FILE]
 //	figures trace -addr HOSTS [-timeout D] REQUEST_ID
 //
 // The load subcommand is the load harness (internal/load): it drives
-// a figuresd fleet with a mixed whole-experiment / prefix-slice
+// a figuresd fleet with a mixed whole-experiment / parameter-point
 // workload at a target QPS and emits a machine-readable latency
 // summary (BENCH_load.json) — achieved QPS, per-kind p50/p95/p99
 // client-side, per-endpoint distributions and cache hit rates scraped
@@ -28,15 +28,12 @@
 // fans out across a figuresd fleet through the shard coordinator
 // (internal/shard) and the merged output is still byte-identical to a
 // local run — -jobs then governs only the local fallback, because
-// remote workers own their own concurrency. Prefix-shardable
-// experiments (E2's Algorithm 1 sweep, E15's Algorithm 2 validation)
-// go further when at least two workers are healthy: their own
-// exploration space is carved into schedule-prefix ranges split
-// across the fleet and the order-insensitive aggregates are merged,
-// emitting the same bytes as a local run. Combining -workers with -cache-dir makes the run the top of
-// a read-through cache hierarchy: each range is consulted in the
-// store before it is dispatched and stored back after, so a repeated
-// sharded run of the same space executes zero explorations anywhere.
+// remote workers own their own concurrency. The fleet spreads whole
+// experiments across workers; no experiment is split. Combining
+// -workers with -cache-dir makes the local store a read-through front
+// cache: each experiment is consulted there before it is dispatched
+// and stored back after, so a repeated sharded run executes nothing
+// anywhere.
 //
 // The schedule-tree sweeps (E2, E15, E16) explore through the
 // canonical-state memo, which accounts every interleaving from a few
@@ -55,19 +52,18 @@
 // and the default point emits bytes identical to the fixed
 // experiment's. Parameterized points ride every existing mode: they
 // cache under per-point content-addressed keys with -cache-dir, shard
-// across a fleet with -workers (carved at the requested point), and
-// journal with -trace.
+// across a fleet with -workers, and journal with -trace.
 //
 // -trace turns on per-request span journaling (internal/trace) for
 // sharded runs: every run gets a request ID, the coordinator journals
-// each carve/selection/fetch/retry/cache decision under it, the same
+// each selection/fetch/retry/cache decision under it, the same
 // ID travels to the workers in the Repro-Request-ID header, and the
 // run ends with one `figures: trace <id> run <exp>` line per request
 // plus the coordinator's timeline on stderr. The trace subcommand
 // completes the picture after the fact: it fetches that ID's span
 // from each listed worker's /trace/{id} endpoint and renders the
-// merged timeline with per-range duration bars, worker assignments,
-// cache outcomes, and retry counts.
+// merged timeline: every event in time order with the worker it
+// concerns.
 // The process exits non-zero when any experiment in the run fails,
 // even though the failed row is still encoded in the output.
 package main
@@ -257,8 +253,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	// The hit-rate line counts this process's own store: local-run
 	// hits, or — sharded — the coordinator's front-cache hits (worker
-	// and slice-level warmth shows on the shard summary lines and the
-	// workers' /stats instead).
+	// warmth shows on the workers' /stats instead).
 	if opts.Cache != nil {
 		hits := 0
 		for _, r := range results {
@@ -358,10 +353,6 @@ func shardRun(fleet []string, opts experiments.Options, stderr io.Writer, verbos
 	st := coord.Stats()
 	fmt.Fprintf(stderr, "figures: shard %d/%d workers healthy, %d remote, %d local\n",
 		st.WorkersHealthy, st.WorkersTotal, st.Remote, st.Local)
-	if st.PrefixSharded > 0 {
-		fmt.Fprintf(stderr, "figures: shard %d prefix-sharded (%d ranges remote, %d local, %d cached, %d reassigned)\n",
-			st.PrefixSharded, st.PrefixRangesRemote, st.PrefixRangesLocal, st.PrefixRangesCached, st.RangesReassigned)
-	}
 	if verbose {
 		for _, w := range st.Workers {
 			if w.Fetches == 0 {

@@ -104,21 +104,9 @@ type sourcedEvent struct {
 	source string
 }
 
-// rangeSummary accumulates one prefix range's line of the per-range
-// report: when it started and finished, who served it, its cache
-// outcome, and how many times it was reassigned.
-type rangeSummary struct {
-	name        string
-	first, last time.Time
-	worker      string
-	hit, miss   bool
-	retries     int
-}
-
-// renderTimeline prints one request's merged span: the header, every
-// event in timestamp order with its offset from the first, and — when
-// any event names a prefix range — a per-range block with duration
-// bars and worker/cache/retry annotations. Events from different
+// renderTimeline prints one request's merged span: the header, then
+// every event in timestamp order with its offset from the first and
+// the worker (or source journal) it concerns. Events from different
 // journals are on different process clocks; on the single-host fleets
 // this repo drives, the skew is far below the durations being read.
 func renderTimeline(w io.Writer, traces []sourcedTrace) {
@@ -152,85 +140,12 @@ func renderTimeline(w io.Writer, traces []sourcedTrace) {
 		fmt.Fprintf(w, "  (%d events dropped at the per-request cap)\n", dropped)
 	}
 
-	ranges := make(map[string]*rangeSummary)
-	var order []string
 	for _, ev := range evs {
 		worker := ev.Worker
 		if worker == "" {
 			worker = ev.source
 		}
-		fmt.Fprintf(w, "  +%9.3fms  %-16s %-14s %-24s %s\n",
-			float64(ev.At.Sub(base))/float64(time.Millisecond), ev.Kind, ev.Range, worker, ev.Detail)
-		if ev.Range == "" {
-			continue
-		}
-		r := ranges[ev.Range]
-		if r == nil {
-			r = &rangeSummary{name: ev.Range, first: ev.At, last: ev.At}
-			ranges[ev.Range] = r
-			order = append(order, ev.Range)
-		}
-		if ev.At.Before(r.first) {
-			r.first = ev.At
-		}
-		if ev.At.After(r.last) {
-			r.last = ev.At
-		}
-		switch ev.Kind {
-		case trace.KindSliceCacheHit:
-			r.hit = true
-		case trace.KindSliceCacheMiss:
-			r.miss = true
-		case trace.KindRetry:
-			r.retries++
-		}
-		if worker != "" && (ev.Kind == trace.KindWorkerSelected || ev.Kind == trace.KindFetch ||
-			ev.Kind == trace.KindExplore || r.worker == "") {
-			r.worker = worker
-		}
+		fmt.Fprintf(w, "  +%9.3fms  %-16s %-24s %s\n",
+			float64(ev.At.Sub(base))/float64(time.Millisecond), ev.Kind, worker, ev.Detail)
 	}
-	if len(order) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "ranges:\n")
-	for _, name := range order {
-		r := ranges[name]
-		cache := "uncached"
-		switch {
-		case r.hit:
-			cache = "hit"
-		case r.miss:
-			cache = "miss"
-		}
-		fmt.Fprintf(w, "  %-14s %s %9.3fms  worker=%s cache=%s retries=%d\n",
-			r.name, durationBar(r.first.Sub(base), r.last.Sub(r.first), total),
-			float64(r.last.Sub(r.first))/float64(time.Millisecond), r.worker, cache, r.retries)
-	}
-}
-
-// barWidth is the duration bar's fixed character budget; every range
-// line scales into it so bars align and overlap is visible at a
-// glance.
-const barWidth = 24
-
-// durationBar renders one range's share of the request's wall clock:
-// leading dots up to its start offset, a solid bar for its duration,
-// trailing dots to the request's end.
-func durationBar(offset, dur, total time.Duration) string {
-	if total <= 0 {
-		return "[" + strings.Repeat("#", barWidth) + "]"
-	}
-	start := int(float64(offset) / float64(total) * barWidth)
-	n := int(float64(dur) / float64(total) * barWidth)
-	if n < 1 {
-		n = 1
-	}
-	if start > barWidth-1 {
-		start = barWidth - 1
-	}
-	if start+n > barWidth {
-		n = barWidth - start
-	}
-	return "[" + strings.Repeat(".", start) + strings.Repeat("#", n) +
-		strings.Repeat(".", barWidth-start-n) + "]"
 }

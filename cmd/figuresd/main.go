@@ -25,20 +25,13 @@
 //
 // Concurrent requests for the same cold experiment are deduplicated to
 // a single execution; with -cache-dir, results persist across restarts
-// and are shared with cmd/figures runs using the same directory. The
-// daemon also serves prefix slices of shardable experiments
-// (GET /experiments/{id}?prefixes=..., the intra-experiment sharding
-// protocol of internal/shard), so any figuresd instance can compute
-// its share of a split exploration space — and with -cache-dir those
-// slices are artifacts too, served from and stored into the same
-// content-addressed store as whole results. With -peers, this daemon
-// becomes the front door of a figuresd fleet: experiment execution
-// fans out to the peers through the shard coordinator — shardable
-// experiments are carved into prefix ranges across the fleet when at
-// least two peers are healthy, each range read through the front
-// cache before it is dispatched and stored back after, so the fleet
-// is a read-through cache hierarchy — and falls back to running
-// locally when the fleet cannot serve.
+// and are shared with cmd/figures runs using the same directory.
+// Parameter points of the E2 and E15 families are served too
+// (GET /experiments/E2?k=3), each cached under its own key. With
+// -peers, this daemon becomes the front door of a figuresd fleet:
+// experiment execution fans out to the peers through the shard
+// coordinator, one whole experiment or parameter point per fetch, and
+// falls back to running locally when the fleet cannot serve.
 //
 // Every request carries a Repro-Request-ID (minted here when the
 // client sent none) under which the serving layer — and, with -peers,

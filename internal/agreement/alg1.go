@@ -225,14 +225,3 @@ func ExploreAlg1(k int, inputs [2]uint64, opts sched.Options, leaf func(*Alg1Run
 	}
 	return sched.Explore(factory, opts)
 }
-
-// Alg1Roots enumerates the live schedule prefixes of the Algorithm 1
-// exploration at the given cut depth (sched.PartitionRoots): the
-// deterministic partition a coordinator carves into per-worker ranges.
-func Alg1Roots(k int, inputs [2]uint64, depth int) ([][]int, error) {
-	factory := func() []sched.ProcFunc {
-		_, procs := newAlg1Run(k, inputs)
-		return procs
-	}
-	return sched.PartitionRoots(factory, 0, depth)
-}

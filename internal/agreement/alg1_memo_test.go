@@ -34,7 +34,7 @@ func alg1Leaf(ar *Alg1Run) (any, error) { return schedtest.Counts{alg1FP(ar): 1}
 func alg1Exhaustive(t *testing.T, k int, inputs [2]uint64) (schedtest.Counts, int) {
 	t.Helper()
 	counts := schedtest.Counts{}
-	runs, err := visitAlg1(k, inputs, nil, func(ar *Alg1Run) {
+	runs, err := visitAlg1(k, inputs, func(ar *Alg1Run) {
 		counts.Add(alg1FP(ar))
 	})
 	if err != nil {
@@ -86,56 +86,6 @@ func TestAlg1MemoMatchesExhaustive(t *testing.T) {
 				t.Errorf("no subtree was pruned on a %d-execution space", runs)
 			}
 		})
-	}
-}
-
-// TestAlg1MemoPrefixUnion pins the sharded memoized mode: for every cut
-// depth, the memoized union over the Alg1Roots partition equals the
-// exhaustive whole-tree multiset — the property that lets a distributed
-// sweep explore memoized slices.
-func TestAlg1MemoPrefixUnion(t *testing.T) {
-	k, inputs := 2, [2]uint64{0, 1}
-	want, runs := alg1Exhaustive(t, k, inputs)
-	for _, depth := range []int{0, 2, 4} {
-		roots, err := Alg1Roots(k, inputs, depth)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if depth > 0 && len(roots) < 2 {
-			t.Fatalf("depth %d partition has %d roots", depth, len(roots))
-		}
-
-		// One call over the whole partition.
-		agg, stats, err := ExploreAlg1(k, inputs, sched.Options{Roots: roots, Memo: true, Merge: schedtest.Merge}, alg1Leaf)
-		if err != nil {
-			t.Fatalf("depth %d: %v", depth, err)
-		}
-		if d := schedtest.Diff(schedtest.AsCounts(agg), want); d != "" {
-			t.Fatalf("depth %d one-call union diverges:\n%s", depth, d)
-		}
-		if stats.Executions != runs {
-			t.Fatalf("depth %d: %d executions, want %d", depth, stats.Executions, runs)
-		}
-
-		// Separate calls per root (each shard its own memo), merged by hand.
-		union := schedtest.Counts{}
-		total := 0
-		for _, root := range roots {
-			agg, stats, err := ExploreAlg1(k, inputs, sched.Options{Roots: [][]int{root}, Memo: true, Merge: schedtest.Merge}, alg1Leaf)
-			if err != nil {
-				t.Fatalf("depth %d root %v: %v", depth, root, err)
-			}
-			for fp, n := range schedtest.AsCounts(agg) {
-				union[fp] += n
-			}
-			total += stats.Executions
-		}
-		if d := schedtest.Diff(union, want); d != "" {
-			t.Fatalf("depth %d per-root union diverges:\n%s", depth, d)
-		}
-		if total != runs {
-			t.Fatalf("depth %d: per-root executions sum to %d, want %d", depth, total, runs)
-		}
 	}
 }
 

@@ -16,7 +16,7 @@ var binaryInputPairs = [][2]uint64{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
 func TestAlg1Exhaustive(t *testing.T) {
 	for k := 1; k <= 4; k++ {
 		for _, inputs := range binaryInputPairs {
-			runs, err := visitAlg1(k, inputs, nil, func(ar *Alg1Run) {
+			runs, err := visitAlg1(k, inputs, func(ar *Alg1Run) {
 				if e := ar.Result.Err(); e != nil {
 					t.Fatalf("k=%d inputs=%v: execution error: %v", k, inputs, e)
 				}
@@ -51,7 +51,7 @@ func TestAlg1Exhaustive(t *testing.T) {
 func TestAlg1Lemma56(t *testing.T) {
 	k := 3
 	for _, inputs := range binaryInputPairs {
-		_, err := visitAlg1(k, inputs, nil, func(ar *Alg1Run) {
+		_, err := visitAlg1(k, inputs, func(ar *Alg1Run) {
 			for i := 0; i < 2; i++ {
 				if !ar.Decided[i] {
 					continue
@@ -149,7 +149,7 @@ func TestAlg1RandomSchedules(t *testing.T) {
 func TestAlg1OutputRangeCoverage(t *testing.T) {
 	k := 4
 	seen := map[int]bool{}
-	_, err := visitAlg1(k, [2]uint64{0, 1}, nil, func(ar *Alg1Run) {
+	_, err := visitAlg1(k, [2]uint64{0, 1}, func(ar *Alg1Run) {
 		for i := 0; i < 2; i++ {
 			if ar.Decided[i] {
 				seen[ar.Outs[i].Num] = true
@@ -193,7 +193,7 @@ func TestAlg1Lockstep(t *testing.T) {
 // 1-bit registers: no width violations occur in any explored execution
 // (a violation would surface as a process error).
 func TestAlg1RegisterWidthNeverViolated(t *testing.T) {
-	_, err := visitAlg1(2, [2]uint64{1, 0}, nil, func(ar *Alg1Run) {
+	_, err := visitAlg1(2, [2]uint64{1, 0}, func(ar *Alg1Run) {
 		for i, e := range ar.Result.Errs {
 			if e != nil {
 				t.Fatalf("process %d error: %v", i, e)
@@ -267,4 +267,14 @@ func TestCheckConsensus(t *testing.T) {
 	if err := CheckConsensus([]uint64{0, 1}, []uint64{0, 1}, []bool{true, false}); err != nil {
 		t.Errorf("single decider rejected: %v", err)
 	}
+}
+
+// visitAlg1 explores the Algorithm 1 executions exhaustively and visits
+// each one, returning the count.
+func visitAlg1(k int, inputs [2]uint64, visit func(*Alg1Run)) (int, error) {
+	_, stats, err := ExploreAlg1(k, inputs, sched.Options{}, func(ar *Alg1Run) (any, error) {
+		visit(ar)
+		return nil, nil
+	})
+	return stats.Executions, err
 }

@@ -58,58 +58,3 @@ func BenchmarkCacheColdVsWarm(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkSliceCacheColdVsWarm measures the slice half of the
-// artifact store on a real workload: one quarter of E2's exploration
-// partition (the k = 4 Algorithm 1 sweep) explored fresh versus read
-// through the store (GetSlice + the experiment's own Decode — the
-// exact warm path internal/shard's per-range read-through takes).
-// The gap is the value of the fleet cache hierarchy per range.
-func BenchmarkSliceCacheColdVsWarm(b *testing.B) {
-	sh, ok := experiments.Shardables()["E2"]
-	if !ok {
-		b.Fatal("E2 not shardable")
-	}
-	roots, err := sh.Roots()
-	if err != nil {
-		b.Fatal(err)
-	}
-	slice := roots[:len(roots)/4]
-	prefixes := experiments.FormatPrefixes(slice)
-
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sh.Explore(slice); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("warm", func(b *testing.B) {
-		s, err := Open(b.TempDir(), Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		agg, err := sh.Explore(slice)
-		if err != nil {
-			b.Fatal(err)
-		}
-		env, err := experiments.NewShardEnvelope("E2", "", slice, agg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := s.PutSlice(env); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			got, ok := s.GetSlice("E2", "", prefixes)
-			if !ok {
-				b.Fatal("warm slice missed")
-			}
-			if _, err := sh.Decode(got.Aggregate); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

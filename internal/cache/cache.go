@@ -1,35 +1,29 @@
-// Package cache is a content-addressed, on-disk artifact store for
-// experiment outputs. It holds two kinds of artifact behind one
-// checksummed, atomically-written, LRU-capped code path:
+// Package cache is a content-addressed, on-disk result store for
+// experiment outputs: one experiment's Result — at its fixed point or
+// at one parameter point of its family — in the JSON wire form of
+// internal/experiments (EncodeJSON/DecodeJSON).
 //
-//   - whole results: one experiment's Result in the JSON wire form of
-//     internal/experiments (EncodeJSON/DecodeJSON);
-//   - slice aggregates: one prefix range's ShardEnvelope — the wire
-//     form of GET /experiments/{id}?prefixes=... — so repeated sharded
-//     runs of the same exploration space are warm too.
+// Every entry is addressed by a SHA-256 fingerprint of its ArtifactKey
+// (experiment id, parameter point, space version, Go version, module
+// version): any version bump changes the fingerprint, so a stale store
+// invalidates itself by missing rather than by being scrubbed. The
+// fixed-point fingerprint is byte-compatible with the original key
+// scheme, so long-lived stores stay warm; files written under key
+// shapes this package no longer produces are never read again and age
+// out under the byte cap. Writes are atomic (temp file + rename in the
+// store directory), every payload carries its own checksum, and
+// entries that fail any check — envelope schema, recorded key,
+// checksum, decode — are deleted and reported as misses so corruption
+// always falls back to re-computing that result, never to serving bad
+// bytes. A byte-size cap evicts least-recently-used entries (Get
+// refreshes an entry's mtime) on write.
 //
-// Every artifact is addressed by a SHA-256 fingerprint of its
-// ArtifactKey (experiment id, prefix set, registry version, Go
-// version, module version): any version bump changes every
-// fingerprint, so a stale store invalidates itself by missing rather
-// than by being scrubbed. An empty prefix set is a whole result, and
-// its fingerprint is byte-compatible with the pre-slice key scheme,
-// so stores written before slices existed stay warm. Writes are
-// atomic (temp file + rename in the store directory), every payload
-// carries its own checksum, and entries that fail any check —
-// envelope schema, recorded key, checksum, decode — are deleted and
-// reported as misses so corruption always falls back to re-computing
-// that artifact (and only that artifact: a corrupt slice re-explores
-// one range, not the whole space), never to serving bad bytes. A
-// byte-size cap evicts least-recently-used entries of either kind
-// (Get and GetSlice refresh an entry's mtime) on write.
-//
-// Store implements experiments.SliceCache (a superset of
+// Store implements experiments.ParamCache (a superset of
 // experiments.Cache), so it plugs directly into experiments.Options,
-// internal/server's slice endpoint, and internal/shard's per-range
-// read-through; cmd/figures (-cache-dir) and cmd/figuresd wire it up.
-// Stats counts hits, misses, corruption, and evictions since Open —
-// the counters internal/server republishes on its /stats endpoint.
+// internal/server, and internal/shard's front-cache read-through;
+// cmd/figures (-cache-dir) and cmd/figuresd wire it up. Stats counts
+// hits, misses, corruption, and evictions since Open — the counters
+// internal/server republishes on its /stats endpoint.
 package cache
 
 import (
@@ -83,20 +77,15 @@ type Options struct {
 	ModuleVersion string
 }
 
-// Stats counts a store's traffic since Open. Whole results and slice
-// aggregates are counted separately — a sharded run's warmth is
-// visible even when its whole-result entry was never written.
+// Stats counts a store's traffic since Open.
 type Stats struct {
-	Hits        int64 // Get served a stored whole result
-	Misses      int64 // Get found nothing usable
-	SliceHits   int64 // GetSlice served a stored slice aggregate
-	SliceMisses int64 // GetSlice found nothing usable
-	SliceStores int64 // PutSlice wrote a slice aggregate
-	Corrupt     int64 // subset of the misses: an entry existed but failed a check
-	Evicted     int64 // entries removed by the size cap
+	Hits    int64 // Get served a stored result
+	Misses  int64 // Get found nothing usable
+	Corrupt int64 // subset of the misses: an entry existed but failed a check
+	Evicted int64 // entries removed by the size cap
 }
 
-// HitRate returns whole-result hits/(hits+misses) in [0, 1], and 0 for
+// HitRate returns hits/(hits+misses) in [0, 1], and 0 for
 // an idle store.
 func (s Stats) HitRate() float64 {
 	if s.Hits+s.Misses == 0 {
@@ -109,10 +98,7 @@ func (s Stats) HitRate() float64 {
 // participates in the fingerprint, and the stored copy must match the
 // store's own key on read — a fingerprint collision or a file copied
 // between stores with different versions is detected and discarded,
-// never served. An empty Prefixes means a whole experiment result; a
-// non-empty Prefixes (the canonical experiments.FormatPrefixes
-// rendering of a root set) means one slice's aggregate. An empty
-// Params means the experiment's fixed point; a non-empty Params (the
+// never served. An empty Params means the experiment's fixed point; a non-empty Params (the
 // canonical experiments.ParamSet rendering) means one parameter point
 // of its family. SpaceVersion is the per-experiment identity
 // generation (experiments.SpaceVersion) — it keeps the pre-family
@@ -122,28 +108,22 @@ func (s Stats) HitRate() float64 {
 type ArtifactKey struct {
 	ID            string `json:"experiment"`
 	Params        string `json:"params,omitempty"`
-	Prefixes      string `json:"prefixes,omitempty"`
 	SpaceVersion  string `json:"registry_version"`
 	GoVersion     string `json:"go_version"`
 	ModuleVersion string `json:"module_version"`
 }
 
 // Fingerprint returns the hex SHA-256 content address of the key.
-// Fixed-point whole-result keys hash exactly the four parts the
-// original scheme hashed — byte-compatible, so an existing store
-// stays warm across both the artifact and the parameter
-// generalizations; slice keys append the prefix set as a fifth part,
-// and parameter points append the literal tag "params" plus the
-// canonical rendering (the tag keeps a params-only key from ever
-// colliding with a prefixes-only key). Length-prefixing makes the
-// part stream unambiguous, so neither field boundaries nor the part
-// count can collide.
+// Fixed-point keys hash exactly the four parts the original scheme
+// hashed — byte-compatible, so an existing store stays warm; parameter
+// points append the literal tag "params" plus the canonical rendering
+// (the tag keeps a parameter key from colliding with the five-part
+// keys earlier generations of the store wrote). Length-prefixing makes
+// the part stream unambiguous, so neither field boundaries nor the
+// part count can collide.
 func (k ArtifactKey) Fingerprint() string {
 	h := sha256.New()
 	parts := []string{k.ID, k.SpaceVersion, k.GoVersion, k.ModuleVersion}
-	if k.Prefixes != "" {
-		parts = append(parts, k.Prefixes)
-	}
 	if k.Params != "" {
 		parts = append(parts, "params", k.Params)
 	}
@@ -157,8 +137,7 @@ func (k ArtifactKey) Fingerprint() string {
 
 // envelope is the on-disk entry format: the key it was stored under,
 // a checksum of the payload, and the payload itself — the one-element
-// EncodeJSON array of a whole result, or the ShardEnvelope of one
-// slice's aggregate.
+// EncodeJSON array of a whole result.
 type envelope struct {
 	Schema  int             `json:"schema"`
 	Key     ArtifactKey     `json:"key"`
@@ -172,8 +151,8 @@ type envelope struct {
 type Store struct {
 	dir      string
 	maxBytes int64
-	// key is the per-artifact template (ID, Params, Prefixes, and
-	// SpaceVersion filled per artifact by keyFor).
+	// key is the per-entry template (ID, Params, and SpaceVersion
+	// filled per entry by keyFor).
 	key          ArtifactKey
 	spaceVersion func(id string) string
 
@@ -181,10 +160,7 @@ type Store struct {
 	stats Stats
 }
 
-var (
-	_ experiments.SliceCache = (*Store)(nil)
-	_ experiments.ParamCache = (*Store)(nil)
-)
+var _ experiments.ParamCache = (*Store)(nil)
 
 // Open creates dir if needed and returns a store over it.
 func Open(dir string, opts Options) (*Store, error) {
@@ -235,15 +211,13 @@ func buildModuleVersion() string {
 	return "unknown"
 }
 
-// keyFor returns the full artifact key for one experiment id,
-// parameter point ("" = the fixed point), and prefix set ("" = the
-// whole result), resolving the id's space version through the store's
-// per-family resolver.
-func (s *Store) keyFor(id, params, prefixes string) ArtifactKey {
+// keyFor returns the full key for one experiment id and parameter
+// point ("" = the fixed point), resolving the id's space version
+// through the store's per-family resolver.
+func (s *Store) keyFor(id, params string) ArtifactKey {
 	k := s.key
 	k.ID = id
 	k.Params = params
-	k.Prefixes = prefixes
 	k.SpaceVersion = s.spaceVersion(id)
 	return k
 }
@@ -256,8 +230,8 @@ func (s *Store) path(k ArtifactKey) string {
 // its payload. A missing file is a plain miss (ok false, corrupt
 // false); an entry failing any envelope check — schema, recorded key,
 // checksum — is deleted and reported corrupt. Payload-level decoding
-// belongs to the caller (the two artifact kinds decode differently);
-// rejectEntry is its counterpart for payloads that fail there.
+// belongs to the caller; rejectEntry is its counterpart for payloads
+// that fail there.
 func (s *Store) readEntry(k ArtifactKey) (payload []byte, ok, corrupt bool) {
 	path := s.path(k)
 	raw, err := os.ReadFile(path)
@@ -284,7 +258,7 @@ func (s *Store) readEntry(k ArtifactKey) (payload []byte, ok, corrupt bool) {
 	return env.Payload, true, false
 }
 
-// rejectEntry removes an untrustworthy entry so the artifact silently
+// rejectEntry removes an untrustworthy entry so the result silently
 // recomputes instead of failing the same way on every lookup.
 func (s *Store) rejectEntry(k ArtifactKey) {
 	os.Remove(s.path(k))
@@ -294,7 +268,7 @@ func (s *Store) rejectEntry(k ArtifactKey) {
 // schema, mismatched key, bad checksum, undecodable payload, or a
 // stored failure — are deleted and reported as corrupt misses.
 func (s *Store) Get(id string) (experiments.Result, bool) {
-	return s.getResult(s.keyFor(id, "", ""))
+	return s.getResult(s.keyFor(id, ""))
 }
 
 // getResult is the shared lookup behind Get and GetParam: one whole
@@ -336,40 +310,6 @@ func decodeResult(payload []byte, id string) (experiments.Result, error) {
 	return r, nil
 }
 
-// GetSlice implements experiments.SliceCache: it returns the stored
-// shard envelope for one slice of one experiment's exploration space
-// at one parameter point ("" = the fixed point). The same trust rules
-// as Get apply — an entry whose payload is not a shard envelope for
-// exactly this id, parameter point, prefix set, and space generation
-// is deleted and reported as a corrupt miss, so a corrupt slice
-// re-explores one range, never the whole space.
-func (s *Store) GetSlice(id, params, prefixes string) (experiments.ShardEnvelope, bool) {
-	if prefixes == "" {
-		// The whole space is a whole result; there is no empty slice.
-		s.count(func(st *Stats) { st.SliceMisses++ })
-		return experiments.ShardEnvelope{}, false
-	}
-	k := s.keyFor(id, params, prefixes)
-	payload, ok, corrupt := s.readEntry(k)
-	if ok {
-		env, err := experiments.DecodeShard(bytes.NewReader(payload))
-		if err == nil && env.ID == id && env.Prefixes == prefixes &&
-			env.Params == params && env.SpaceVersion == k.SpaceVersion {
-			s.count(func(st *Stats) { st.SliceHits++ })
-			return env, true
-		}
-		s.rejectEntry(k)
-		corrupt = true
-	}
-	s.count(func(st *Stats) {
-		st.SliceMisses++
-		if corrupt {
-			st.Corrupt++
-		}
-	})
-	return experiments.ShardEnvelope{}, false
-}
-
 // Put implements experiments.Cache: it stores a successful result
 // atomically (temp file + rename) and then enforces the size cap.
 func (s *Store) Put(id string, r experiments.Result) error {
@@ -381,7 +321,7 @@ func (s *Store) Put(id string, r experiments.Result) error {
 	if err := experiments.EncodeJSON(&encoded, []experiments.Result{r}); err != nil {
 		return err
 	}
-	return s.write(s.keyFor(id, "", ""), encoded.Bytes())
+	return s.write(s.keyFor(id, ""), encoded.Bytes())
 }
 
 // GetParam implements experiments.ParamCache: it returns the stored
@@ -393,7 +333,7 @@ func (s *Store) GetParam(id, params string) (experiments.Result, bool) {
 	if params == "" {
 		return s.Get(id)
 	}
-	return s.getResult(s.keyFor(id, params, ""))
+	return s.getResult(s.keyFor(id, params))
 }
 
 // PutParam implements experiments.ParamCache, storing one parameter
@@ -410,36 +350,11 @@ func (s *Store) PutParam(id, params string, r experiments.Result) error {
 	if err := experiments.EncodeJSON(&encoded, []experiments.Result{r}); err != nil {
 		return err
 	}
-	return s.write(s.keyFor(id, params, ""), encoded.Bytes())
+	return s.write(s.keyFor(id, params), encoded.Bytes())
 }
 
-// PutSlice implements experiments.SliceCache: it stores one slice's
-// shard envelope under the artifact key derived from its id,
-// parameter point, and prefix set. An envelope from a different space
-// generation is refused — its numbers describe a different space, and
-// storing it under this store's key would serve them as this
-// generation's.
-func (s *Store) PutSlice(env experiments.ShardEnvelope) error {
-	if env.ID == "" || env.Prefixes == "" || len(env.Aggregate) == 0 {
-		return fmt.Errorf("cache: refusing to store incomplete slice envelope %+v", env)
-	}
-	if want := s.spaceVersion(env.ID); env.SpaceVersion != want {
-		return fmt.Errorf("cache: slice envelope space %s, store %s", env.SpaceVersion, want)
-	}
-	payload, err := json.Marshal(env)
-	if err != nil {
-		return err
-	}
-	if err := s.write(s.keyFor(env.ID, env.Params, env.Prefixes), payload); err != nil {
-		return err
-	}
-	s.count(func(st *Stats) { st.SliceStores++ })
-	return nil
-}
-
-// write stores one artifact payload under its key — the single code
-// path both artifact kinds share: compact, checksum, envelope, atomic
-// write, evict.
+// write stores one payload under its key — the single code path Put
+// and PutParam share: compact, checksum, envelope, atomic write, evict.
 func (s *Store) write(k ArtifactKey, encoded []byte) error {
 	// Compact before checksumming: json.Marshal compacts RawMessage
 	// fields when writing the envelope, and the checksum must cover
@@ -520,10 +435,9 @@ func removeIfStaleTemp(dir string, de os.DirEntry, cutoff time.Time) bool {
 
 // evict removes least-recently-used entries until the store fits the
 // byte cap, sweeping stale temp files on the same directory scan.
-// Get and GetSlice refresh mtimes, so mtime order is use order; whole
-// results and slice aggregates share the one cap and the one recency
-// order — a run that only ever touches slices ages whole entries out,
-// and vice versa.
+// Get refreshes mtimes, so mtime order is use order. Every .json file
+// in the directory counts toward the cap, so entries no lookup ever
+// reaches again (an older key shape) simply age out.
 func (s *Store) evict() error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {

@@ -173,8 +173,8 @@ func TestMismatchedEntryKeyRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := v1.path(v1.keyFor("E1", "", ""))
-	dst := v2.path(v2.keyFor("E1", "", ""))
+	src := v1.path(v1.keyFor("E1", ""))
+	dst := v2.path(v2.keyFor("E1", ""))
 	raw, err := os.ReadFile(src)
 	if err != nil {
 		t.Fatal(err)
@@ -199,14 +199,14 @@ func TestFingerprintSeparatesFields(t *testing.T) {
 	if a.Fingerprint() != a.Fingerprint() {
 		t.Fatal("fingerprint not deterministic")
 	}
-	// A slice key must never collide with a whole key, including the
-	// pathological spelling where the prefix set leaks into another
-	// field: the part stream is length-prefixed, so the part count
-	// parses unambiguously.
-	s := ArtifactKey{ID: "E1", SpaceVersion: "v1", Prefixes: "0.1,1"}
-	twisted := ArtifactKey{ID: "E1", SpaceVersion: "v1", ModuleVersion: "5:0.1,1"}
-	if s.Fingerprint() == a.Fingerprint() || s.Fingerprint() == twisted.Fingerprint() {
-		t.Fatal("slice key collides with a whole key")
+	// A parameter key must never collide with a fixed-point key,
+	// including the pathological spelling where the parameter parts
+	// leak into another field: the part stream is length-prefixed, so
+	// the part count parses unambiguously.
+	p := ArtifactKey{ID: "E1", SpaceVersion: "v1", Params: "0.1,1"}
+	twisted := ArtifactKey{ID: "E1", SpaceVersion: "v1", ModuleVersion: "6:params5:0.1,1"}
+	if p.Fingerprint() == a.Fingerprint() || p.Fingerprint() == twisted.Fingerprint() {
+		t.Fatal("parameter key collides with a fixed-point key")
 	}
 }
 
@@ -352,46 +352,38 @@ func TestConcurrentPutGet(t *testing.T) {
 	}
 }
 
-// sliceEnvelope builds a valid slice envelope for the store's own
-// registry generation.
-func sliceEnvelope(t *testing.T, id, prefixes string) experiments.ShardEnvelope {
-	t.Helper()
-	roots, err := experiments.ParsePrefixes(prefixes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return experiments.ShardEnvelope{
-		ID:           id,
-		SpaceVersion: experiments.RegistryVersion,
-		Prefixes:     experiments.FormatPrefixes(roots),
-		Aggregate:    json.RawMessage(`{"execs":7}`),
-	}
-}
-
 // TestFingerprintBackCompat pins the byte-compatibility contract of
-// the artifact generalization: a whole-result key hashes exactly the
-// four length-prefixed parts the pre-slice scheme hashed, so a store
-// written before slice artifacts existed stays warm.
+// the key scheme, so existing stores (and the cache-surgery gate's
+// warm fleet) stay warm: a fixed-point key hashes exactly the four
+// length-prefixed parts the original scheme hashed, and a parameter
+// point appends the literal "params" tag and its canonical rendering.
 func TestFingerprintBackCompat(t *testing.T) {
+	hash := func(parts ...string) string {
+		h := sha256.New()
+		for _, part := range parts {
+			fmt.Fprintf(h, "%d:%s", len(part), part)
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
 	k := ArtifactKey{
 		ID:            "E2",
 		SpaceVersion:  "e1-e14/v1",
 		GoVersion:     "go1.22.0",
 		ModuleVersion: "repro@(devel)",
 	}
-	h := sha256.New()
-	for _, part := range []string{k.ID, k.SpaceVersion, k.GoVersion, k.ModuleVersion} {
-		fmt.Fprintf(h, "%d:%s", len(part), part)
+	if want := hash(k.ID, k.SpaceVersion, k.GoVersion, k.ModuleVersion); k.Fingerprint() != want {
+		t.Fatalf("whole-result fingerprint diverged from the original scheme:\n%s\nvs\n%s", k.Fingerprint(), want)
 	}
-	if want := hex.EncodeToString(h.Sum(nil)); k.Fingerprint() != want {
-		t.Fatalf("whole-result fingerprint diverged from the pre-slice scheme:\n%s\nvs\n%s", k.Fingerprint(), want)
+	k.Params = "i0=0,i1=1,k=3"
+	if want := hash(k.ID, k.SpaceVersion, k.GoVersion, k.ModuleVersion, "params", k.Params); k.Fingerprint() != want {
+		t.Fatalf("parameter-point fingerprint diverged:\n%s\nvs\n%s", k.Fingerprint(), want)
 	}
 }
 
-// TestLegacyEnvelopeStillHits: an entry written by the pre-slice
-// store — a four-field key object, no prefixes — must still validate
-// and serve, because ArtifactKey keeps the old JSON form for whole
-// results (omitempty prefixes) and the old fingerprint bytes.
+// TestLegacyEnvelopeStillHits: an entry written by the original
+// store — a four-field key object — must still validate and serve,
+// because ArtifactKey keeps the old JSON form for fixed-point results
+// (omitempty params) and the old fingerprint bytes.
 func TestLegacyEnvelopeStillHits(t *testing.T) {
 	s := mustOpen(t, Options{})
 	var payload bytes.Buffer
@@ -403,7 +395,7 @@ func TestLegacyEnvelopeStillHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(compact.Bytes())
-	k := s.keyFor("E1", "", "")
+	k := s.keyFor("E1", "")
 	// Hand-build the old envelope shape: the key object spelled with
 	// exactly the four legacy fields.
 	raw, err := json.Marshal(map[string]any{
@@ -432,140 +424,41 @@ func TestLegacyEnvelopeStillHits(t *testing.T) {
 	}
 }
 
-func TestSlicePutGetRoundTrip(t *testing.T) {
-	s := mustOpen(t, Options{})
-	env := sliceEnvelope(t, "E2", "0.1,1")
-	if err := s.PutSlice(env); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.GetSlice("E2", "", "0.1,1")
-	if !ok {
-		t.Fatal("GetSlice missed a fresh PutSlice")
-	}
-	if got.ID != "E2" || got.Prefixes != "0.1,1" || got.SpaceVersion != experiments.RegistryVersion {
-		t.Fatalf("envelope mangled: %+v", got)
-	}
-	var agg struct {
-		Execs int `json:"execs"`
-	}
-	if err := json.Unmarshal(got.Aggregate, &agg); err != nil || agg.Execs != 7 {
-		t.Fatalf("aggregate mangled: %s (%v)", got.Aggregate, err)
-	}
-	if st := s.Stats(); st.SliceHits != 1 || st.SliceMisses != 0 || st.SliceStores != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// The slice entry must not shadow or collide with the whole key.
-	if _, ok := s.Get("E2"); ok {
-		t.Fatal("slice entry served as a whole result")
-	}
-	if _, ok := s.GetSlice("E2", "", "0.1"); ok {
-		t.Fatal("wrong prefix set hit")
-	}
-	if _, ok := s.GetSlice("E2", "", ""); ok {
-		t.Fatal("empty prefix set is not a slice")
-	}
-}
-
-func TestPutSliceRefusals(t *testing.T) {
-	s := mustOpen(t, Options{})
-	wrongGen := sliceEnvelope(t, "E2", "0")
-	wrongGen.SpaceVersion = "other-gen/v9"
-	for name, env := range map[string]experiments.ShardEnvelope{
-		"wrong generation": wrongGen,
-		"no id":            {Prefixes: "0", SpaceVersion: experiments.RegistryVersion, Aggregate: json.RawMessage(`{}`)},
-		"no prefixes":      {ID: "E2", SpaceVersion: experiments.RegistryVersion, Aggregate: json.RawMessage(`{}`)},
-		"no aggregate":     {ID: "E2", Prefixes: "0", SpaceVersion: experiments.RegistryVersion},
-	} {
-		if err := s.PutSlice(env); err == nil {
-			t.Errorf("PutSlice accepted %s", name)
-		}
-	}
-	if st := s.Stats(); st.SliceStores != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if left := entryPaths(t, s); len(left) != 0 {
-		t.Fatalf("refused PutSlice left entries: %v", left)
-	}
-}
-
-// TestCorruptSliceIsAMissAndRemoved: a damaged slice entry is deleted
-// and counted, and — crucially for the read-through hierarchy — the
-// neighbouring slice and whole entries keep serving, so corruption
-// re-explores one range, never the whole space.
-func TestCorruptSliceIsAMissAndRemoved(t *testing.T) {
-	s := mustOpen(t, Options{})
-	if err := s.Put("E2", tableResult("E2", "whole")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutSlice(sliceEnvelope(t, "E2", "0")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutSlice(sliceEnvelope(t, "E2", "1")); err != nil {
-		t.Fatal(err)
-	}
-	victim := s.path(s.keyFor("E2", "", "1"))
-	raw, err := os.ReadFile(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0x20
-	if err := os.WriteFile(victim, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.GetSlice("E2", "", "1"); ok {
-		t.Fatal("served a corrupted slice")
-	}
-	if _, err := os.Stat(victim); !os.IsNotExist(err) {
-		t.Fatal("corrupted slice not removed")
-	}
-	if st := s.Stats(); st.SliceMisses != 1 || st.Corrupt != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if _, ok := s.GetSlice("E2", "", "0"); !ok {
-		t.Fatal("healthy sibling slice lost")
-	}
-	if _, ok := s.Get("E2"); !ok {
-		t.Fatal("whole entry lost to a corrupt slice")
-	}
-}
-
-// TestSlicePayloadKindsDontCross: a slice envelope handcrafted onto a
-// whole key (and vice versa) passes the checksum but fails the
-// payload decode — rejected, removed, counted.
+// TestSlicePayloadKindsDontCross: an entry whose payload is not a
+// result — here the execution-count aggregate older stores kept for
+// prefix slices — passes the checksum under a whole key but fails the
+// payload decode: rejected, removed, counted.
 func TestSlicePayloadKindsDontCross(t *testing.T) {
 	s := mustOpen(t, Options{})
-	if err := s.PutSlice(sliceEnvelope(t, "E2", "0")); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the slice entry under the whole key, fixing the recorded
-	// key so only the payload kind is wrong.
-	raw, err := os.ReadFile(s.path(s.keyFor("E2", "", "0")))
+	payload := []byte(`{"execs":7}`)
+	sum := sha256.Sum256(payload)
+	k := s.keyFor("E2", "")
+	forged, err := json.Marshal(envelope{
+		Schema:  schemaVersion,
+		Key:     k,
+		SHA256:  hex.EncodeToString(sum[:]),
+		Payload: payload,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		t.Fatal(err)
-	}
-	env.Key = s.keyFor("E2", "", "")
-	forged, err := json.Marshal(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.path(env.Key), forged, 0o644); err != nil {
+	if err := os.WriteFile(s.path(k), forged, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get("E2"); ok {
-		t.Fatal("slice payload served as a whole result")
+		t.Fatal("aggregate payload served as a whole result")
 	}
 	if st := s.Stats(); st.Corrupt != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
+	if left := entryPaths(t, s); len(left) != 0 {
+		t.Fatalf("rejected entry not removed: %v", left)
+	}
 }
 
-// TestMixedEviction: whole results and slice aggregates share one
-// byte cap and one LRU order — recently used entries of either kind
-// survive, the stale ones go, whatever their kind.
+// TestMixedEviction: fixed-point results and parameter points share
+// one byte cap and one LRU order — recently used entries of either
+// kind survive, the stale ones go, whatever their kind.
 func TestMixedEviction(t *testing.T) {
 	// A cap that fits roughly three entries of the sizes used here.
 	s, err := Open(t.TempDir(), Options{MaxBytes: 3*entryBytes(t) + 48})
@@ -575,14 +468,14 @@ func TestMixedEviction(t *testing.T) {
 	if err := s.Put("E1", tableResult("E1", "whole-old")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutSlice(sliceEnvelope(t, "E2", "0")); err != nil {
+	if err := s.PutParam("E2", "k=1", tableResult("E2", "k=1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutSlice(sliceEnvelope(t, "E2", "1")); err != nil {
+	if err := s.PutParam("E2", "k=2", tableResult("E2", "k=2")); err != nil {
 		t.Fatal(err)
 	}
-	// Backdate everything, then refresh the whole entry and one slice:
-	// the untouched slice becomes the LRU victim of the next write.
+	// Backdate everything, then refresh the fixed entry and one point:
+	// the untouched point becomes the LRU victim of the next write.
 	old := time.Now().Add(-time.Hour)
 	for _, p := range entryPaths(t, s) {
 		if err := os.Chtimes(p, old, old); err != nil {
@@ -590,22 +483,22 @@ func TestMixedEviction(t *testing.T) {
 		}
 	}
 	if _, ok := s.Get("E1"); !ok {
-		t.Fatal("whole entry missed")
+		t.Fatal("fixed entry missed")
 	}
-	if _, ok := s.GetSlice("E2", "", "0"); !ok {
-		t.Fatal("slice entry missed")
+	if _, ok := s.GetParam("E2", "k=1"); !ok {
+		t.Fatal("point entry missed")
 	}
-	if err := s.PutSlice(sliceEnvelope(t, "E2", "2")); err != nil {
+	if err := s.PutParam("E2", "k=3", tableResult("E2", "k=3")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.GetSlice("E2", "", "1"); ok {
-		t.Fatal("LRU slice survived a mixed eviction")
+	if _, ok := s.GetParam("E2", "k=2"); ok {
+		t.Fatal("LRU point survived a mixed eviction")
 	}
 	if _, ok := s.Get("E1"); !ok {
-		t.Fatal("recently used whole entry evicted")
+		t.Fatal("recently used fixed entry evicted")
 	}
-	if _, ok := s.GetSlice("E2", "", "0"); !ok {
-		t.Fatal("recently used slice evicted")
+	if _, ok := s.GetParam("E2", "k=1"); !ok {
+		t.Fatal("recently used point evicted")
 	}
 	if st := s.Stats(); st.Evicted == 0 {
 		t.Fatalf("stats = %+v", st)

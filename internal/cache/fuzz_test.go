@@ -28,7 +28,7 @@ func FuzzCacheGet(f *testing.F) {
 	if err := store.Put("E1", res); err != nil {
 		f.Fatal(err)
 	}
-	valid, err := os.ReadFile(store.path(store.keyFor("E1", "", "")))
+	valid, err := os.ReadFile(store.path(store.keyFor("E1", "")))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func FuzzCacheGet(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := s.path(s.keyFor("E1", "", ""))
+		path := s.path(s.keyFor("E1", ""))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,10 @@
 package cache
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/experiments"
@@ -59,15 +62,20 @@ func TestParamPutRefusesFailedResult(t *testing.T) {
 	}
 }
 
-// TestParamKeySeparatesFromPrefixes: a params-only key and a
-// prefixes-only key with colliding spellings must stay distinct
-// fingerprints (the "params" tag parts make the streams unambiguous).
+// TestParamKeySeparatesFromPrefixes: a parameter key whose canonical
+// rendering spells like a prefix set must not collide with the
+// five-part slice keys earlier generations of the store wrote (the
+// "params" tag keeps the part streams apart), so a leftover slice file
+// is never read as a parameter point.
 func TestParamKeySeparatesFromPrefixes(t *testing.T) {
 	p := ArtifactKey{ID: "E2", SpaceVersion: "v", Params: "0.1,1"}
-	sl := ArtifactKey{ID: "E2", SpaceVersion: "v", Prefixes: "0.1,1"}
 	whole := ArtifactKey{ID: "E2", SpaceVersion: "v"}
-	if p.Fingerprint() == sl.Fingerprint() {
-		t.Fatal("params-only key collides with prefixes-only key")
+	h := sha256.New()
+	for _, part := range []string{p.ID, p.SpaceVersion, p.GoVersion, p.ModuleVersion, "0.1,1"} {
+		fmt.Fprintf(h, "%d:%s", len(part), part)
+	}
+	if p.Fingerprint() == hex.EncodeToString(h.Sum(nil)) {
+		t.Fatal("params key collides with a legacy prefixes key")
 	}
 	if p.Fingerprint() == whole.Fingerprint() {
 		t.Fatal("params key collides with the whole-result key")

@@ -1,41 +1,32 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/sched"
 	"repro/internal/task"
 )
 
-// E15 is the exhaustive Algorithm 2 validation sweep in partial-run
-// form: Theorem 1.2 checked constructively over every crash-free
-// interleaving of the universal construction on one solvable task,
-// each execution's outputs validated against the task specification
-// (task.CheckRun) — visited leaves directly, memo-pruned ones through
-// their canonical twins. The space is a schedule tree like E2's, so it
-// shards the same way — task.Alg2Roots carves it, task.ExploreAlg2
-// explores a slice, and the run count is the order-insensitive
-// aggregate (a violation in any slice surfaces as that slice's error,
-// so a merged success really did validate every interleaving).
+// E15 is the exhaustive Algorithm 2 validation sweep: Theorem 1.2
+// checked constructively over every crash-free interleaving of the
+// universal construction on one solvable task, each execution's
+// outputs validated against the task specification (task.CheckRun) —
+// visited leaves directly, memo-pruned ones through their canonical
+// twins. A violation anywhere surfaces as the exploration's error, so
+// a success really did validate every interleaving.
 
 // e15Choice and e15Input pin E15's instance: Algorithm 2 on the
 // 2-value choice task with the mixed input (0, 1) — the input whose
 // executions traverse every ε-agreement outcome class (full input
 // seen, other input missing, and the 0 < d < 1 path walk).
-// e15ShardDepth is the partition cut — depth 5 carves the
-// ~28k-execution tree into ~2^5 ranges, the same grain as E2.
-const (
-	e15Choice     = 2
-	e15ShardDepth = 5
-)
+const e15Choice = 2
 
 var e15Input = task.Pair{0, 1}
 
 // e15Plan builds E15's execution plan at one choice-task size. Plan
 // construction is deterministic and cheap next to the exploration, so
-// every caller (runner, roots, explore, finish) rebuilds it rather
-// than sharing mutable state.
+// every caller (sweep, finish) rebuilds it rather than sharing mutable
+// state.
 func e15Plan(choice int) (*task.Plan, error) {
 	tk := task.ChoiceTask(choice)
 	sub, ok := tk.FindSolvableSubset()
@@ -52,26 +43,20 @@ func e15InputOf(ps ParamSet) task.Pair {
 
 // alg2SweepAgg is the order-insensitive aggregate of the exhaustive
 // Algorithm 2 sweep: the number of interleavings explored and
-// validated. Counts from any grouping of a partition sum to the
-// whole-space total.
+// validated. Counts of disjoint subtrees sum to the whole-space total.
 type alg2SweepAgg struct {
-	Execs int `json:"execs"`
+	Execs int
 }
 
-// Merge implements Aggregate.
-func (a *alg2SweepAgg) Merge(other Aggregate) error {
-	b, ok := other.(*alg2SweepAgg)
-	if !ok {
-		return fmt.Errorf("experiments: cannot merge %T into %T", other, a)
-	}
+// Merge folds b into a.
+func (a *alg2SweepAgg) Merge(b *alg2SweepAgg) {
 	a.Execs += b.Execs
-	return nil
 }
 
 // finishE15 renders the E15 family's table at one (choice, input)
 // point from a fully-merged aggregate — the one rendering path shared
-// by the local runner, the sharded merge, and every parameterized
-// point, which is what makes their bytes identical. At the default
+// by the registry runner and every parameterized point, which is what
+// makes their bytes identical. At the default
 // point (e15Choice, e15Input) the rendering is byte-for-byte the fixed
 // E15 table's.
 func finishE15(a *alg2SweepAgg, choice int, input task.Pair) (*Table, error) {
@@ -96,16 +81,15 @@ func finishE15(a *alg2SweepAgg, choice int, input task.Pair) (*Table, error) {
 	return t, nil
 }
 
-// sweepAlg2 validates the Algorithm 2 schedule tree at (choice, input)
-// under roots (nil: the whole tree) through the canonical-state memo —
-// the one implementation behind E15's runner, family points and shard
-// slices.
-func sweepAlg2(choice int, input task.Pair, roots [][]int) (*alg2SweepAgg, sched.Stats, error) {
+// sweepAlg2 validates the whole Algorithm 2 schedule tree at (choice,
+// input) through the canonical-state memo — the one implementation
+// behind E15's runner and family points.
+func sweepAlg2(choice int, input task.Pair) (*alg2SweepAgg, sched.Stats, error) {
 	plan, err := e15Plan(choice)
 	if err != nil {
 		return nil, sched.Stats{}, err
 	}
-	stats, err := task.ExploreAlg2(plan, input, sched.Options{Roots: roots, Memo: true})
+	stats, err := task.ExploreAlg2(plan, input, sched.Options{Memo: true})
 	if err != nil {
 		return nil, stats, err
 	}
@@ -116,7 +100,7 @@ func sweepAlg2(choice int, input task.Pair, roots [][]int) (*alg2SweepAgg, sched
 // — the registry runner at the default point, and the Family.Run
 // behind GET /experiments/E15?c=...
 func runE15At(choice int, input task.Pair) (*Table, error) {
-	a, stats, err := sweepAlg2(choice, input, nil)
+	a, stats, err := sweepAlg2(choice, input)
 	if err != nil {
 		return nil, err
 	}
@@ -127,52 +111,7 @@ func runE15At(choice int, input task.Pair) (*Table, error) {
 	return t, err
 }
 
-// Theorem12Exhaustive (E15) runs the whole sweep through the same
-// aggregate-and-finish path a prefix-sharded run merges through.
+// Theorem12Exhaustive (E15) runs the whole sweep at the fixed point.
 func Theorem12Exhaustive() (*Table, error) {
 	return runE15At(e15Choice, e15Input)
-}
-
-// e15Shardable is E15's partial-run form at the fixed registry point.
-func e15Shardable() Shardable {
-	return e15ShardableAt(e15Choice, e15Input)
-}
-
-// e15ShardableAt is the partial-run form at one (choice, input) point.
-func e15ShardableAt(choice int, input task.Pair) Shardable {
-	return Shardable{
-		Roots: func() ([][]int, error) {
-			plan, err := e15Plan(choice)
-			if err != nil {
-				return nil, err
-			}
-			return task.Alg2Roots(plan, input, e15ShardDepth)
-		},
-		Explore: func(roots [][]int) (Aggregate, error) {
-			a, _, err := sweepAlg2(choice, input, roots)
-			if err != nil {
-				return nil, err
-			}
-			return a, nil
-		},
-		Decode: func(data []byte) (Aggregate, error) {
-			var a alg2SweepAgg
-			if err := json.Unmarshal(data, &a); err != nil {
-				return nil, fmt.Errorf("experiments: decoding E15 aggregate: %w", err)
-			}
-			// A negative count would corrupt the merged total silently;
-			// reject it like any other unusable response.
-			if a.Execs < 0 {
-				return nil, fmt.Errorf("experiments: E15 aggregate with negative count")
-			}
-			return &a, nil
-		},
-		Finish: func(agg Aggregate) (*Table, error) {
-			a, ok := agg.(*alg2SweepAgg)
-			if !ok {
-				return nil, fmt.Errorf("experiments: E15 finish on %T", agg)
-			}
-			return finishE15(a, choice, input)
-		},
-	}
 }

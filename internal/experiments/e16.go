@@ -19,7 +19,7 @@ var e16Inputs = [2]uint64{0, 1}
 // AlgK5Sweep is E16's Runner: the memoized k = 5 sweep, aggregated and
 // rendered by the same collector/finish shape as E2.
 func AlgK5Sweep() (*Table, error) {
-	a, stats, err := sweepAlg1(e16K, e16Inputs, nil)
+	a, stats, err := sweepAlg1(e16K, e16Inputs)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/agreement"
@@ -180,5 +181,45 @@ func TestRegistryOverrideRunsOverride(t *testing.T) {
 	if r := results[0]; calls != 1 || r.Table.Title != "override" || r.Memo != (sched.Stats{}) {
 		t.Fatalf("override E2 ran %d times, title %q, counters %+v; want the override once, no exploration",
 			calls, r.Table.Title, r.Memo)
+	}
+}
+
+// TestAlg1SweepAggMergeGrouping: merging is associative and
+// commutative — any grouping of subtree contributions folds
+// identically, the contract the memo's Merge relies on.
+func TestAlg1SweepAggMergeGrouping(t *testing.T) {
+	a := &alg1SweepAgg{Execs: 2, Seen: []int{0, 3}, WorstNum: 1, MaxSteps: 5}
+	b := &alg1SweepAgg{Execs: 3, Seen: []int{1, 3, 9}, WorstNum: 0, MaxSteps: 7}
+	c := &alg1SweepAgg{Execs: 1, Seen: []int{0, 9}, WorstNum: 2, MaxSteps: 2}
+
+	clone := func(x *alg1SweepAgg) *alg1SweepAgg {
+		cp := *x
+		cp.Seen = append([]int(nil), x.Seen...)
+		return &cp
+	}
+	fold := func(xs ...*alg1SweepAgg) *alg1SweepAgg {
+		out := clone(xs[0])
+		for _, x := range xs[1:] {
+			out.Merge(clone(x))
+		}
+		return out
+	}
+	want := fold(a, b, c)
+	for _, got := range []*alg1SweepAgg{fold(c, b, a), fold(b, a, c), fold(fold(a, b), c), fold(a, fold(b, c))} {
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("merge grouping differs: %+v vs %+v", got, want)
+		}
+	}
+	if want.Execs != 6 || !reflect.DeepEqual(want.Seen, []int{0, 1, 3, 9}) || want.WorstNum != 2 || want.MaxSteps != 7 {
+		t.Fatalf("merged = %+v", want)
+	}
+}
+
+// TestAlg2SweepAggMerge: E15's aggregate sums execution counts.
+func TestAlg2SweepAggMerge(t *testing.T) {
+	a := &alg2SweepAgg{Execs: 2}
+	a.Merge(&alg2SweepAgg{Execs: 5})
+	if a.Execs != 7 {
+		t.Fatalf("merged execs = %d", a.Execs)
 	}
 }

@@ -18,8 +18,8 @@ import (
 // registry pins one point per family. A Family lifts that point into a
 // queryable surface: a validated parameter schema with types, ranges,
 // and defaults, a canonical parameter rendering (so ?i0=0&k=7 and
-// ?k=7&i0=0 are one cache entry and one singleflight key), and a Run /
-// Shardable pair evaluated at any point of the space.
+// ?k=7&i0=0 are one cache entry and one singleflight key), and a Run
+// evaluated at any point of the space.
 //
 // It is also where cache identity is computed per experiment space
 // rather than registry-wide: SpaceVersion(id) extends RegistryVersion
@@ -85,9 +85,6 @@ type Family struct {
 	Check func(ps ParamSet) error
 	// Run evaluates the family at one validated parameter point.
 	Run func(ps ParamSet) (*Table, error)
-	// Shardable, when non-nil, returns the partial-run seam at one
-	// point, so parameterized spaces prefix-shard like fixed ones.
-	Shardable func(ps ParamSet) Shardable
 }
 
 // Families returns the parameterized experiment families by id: the
@@ -361,9 +358,10 @@ type ParamCache interface {
 	PutParam(id, params string, r Result) error
 }
 
-// getParam consults opts.Cache for one parameter point, degrading a
-// plain Cache to the default point only.
-func getParam(c Cache, id, params string) (Result, bool) {
+// CacheGet consults c for one parameter point of an experiment ("" =
+// the fixed point): through GetParam when c is a ParamCache, degrading
+// a plain Cache to the fixed point only, and missing on a nil c.
+func CacheGet(c Cache, id, params string) (Result, bool) {
 	switch pc := c.(type) {
 	case nil:
 		return Result{}, false
@@ -377,9 +375,9 @@ func getParam(c Cache, id, params string) (Result, bool) {
 	}
 }
 
-// putParam stores one parameter point's result, best-effort, with the
-// same degradation as getParam.
-func putParam(c Cache, id, params string, r Result) {
+// CachePut stores one parameter point's result in c, best-effort, with
+// the same degradation as CacheGet.
+func CachePut(c Cache, id, params string, r Result) {
 	switch pc := c.(type) {
 	case nil:
 	case ParamCache:
@@ -399,7 +397,7 @@ func putParam(c Cache, id, params string, r Result) {
 func RunParam(ctx context.Context, f Family, ps ParamSet, opts Options) Result {
 	id := f.ID
 	params := ps.Canonical()
-	if res, ok := getParam(opts.Cache, id, params); ok && res.Err == nil && res.Table != nil {
+	if res, ok := CacheGet(opts.Cache, id, params); ok && res.Err == nil && res.Table != nil {
 		res.ID = id
 		res.Cached = true
 		res.Memo = sched.Stats{} // a hit explores nothing
@@ -407,7 +405,7 @@ func RunParam(ctx context.Context, f Family, ps ParamSet, opts Options) Result {
 	}
 	res := runOne(ctx, id, func() (*Table, error) { return f.Run(ps) }, opts.Timeout)
 	if res.Err == nil {
-		putParam(opts.Cache, id, params, res) // best-effort, like the engine's Put
+		CachePut(opts.Cache, id, params, res) // best-effort, like the engine's Put
 	}
 	return res
 }
@@ -430,9 +428,6 @@ func e2Family() Family {
 		},
 		Run: func(ps ParamSet) (*Table, error) {
 			return runE2At(ps.Int("k"), e2InputsOf(ps))
-		},
-		Shardable: func(ps ParamSet) Shardable {
-			return e2ShardableAt(ps.Int("k"), e2InputsOf(ps))
 		},
 	}
 }
@@ -466,9 +461,6 @@ func e15Family() Family {
 		},
 		Run: func(ps ParamSet) (*Table, error) {
 			return runE15At(ps.Int("c"), e15InputOf(ps))
-		},
-		Shardable: func(ps ParamSet) Shardable {
-			return e15ShardableAt(ps.Int("c"), e15InputOf(ps))
 		},
 	}
 }

@@ -51,8 +51,8 @@ func Figure1Summary() (*Table, error) {
 // with k = 4 and inputs (0,1) through the canonical-state memo: the
 // execution count, the decision range coverage, and the worst co-final
 // distance — Figure 2's structure. The table derives from the same
-// aggregate-and-finish path (shardable.go) a prefix-sharded run merges
-// through, so both emit identical bytes.
+// aggregate-and-finish path (alg1sweep.go) every point of the E2
+// family renders through, so the default point emits identical bytes.
 func Figure2Executions() (*Table, error) {
 	return runE2At(e2K, e2Inputs)
 }

@@ -17,7 +17,7 @@
 // partial summary is still returned.
 //
 // The mix is deterministic, not sampled: weights expand into a fixed
-// rotation (whole:3,slice:1 → W W W S repeating), experiment ids and
+// rotation (whole:3,param:1 → W W W P repeating), experiment ids and
 // targets round-robin independently, so two runs of the same config
 // issue the same request sequence — load results diff cleanly across
 // PRs for the same reason experiment tables do.
@@ -49,20 +49,16 @@ import (
 	"repro/internal/trace"
 )
 
-// Request kinds: the serving paths a figuresd fleet exposes. The
-// labels deliberately differ from the server's endpoint labels
-// ("experiment"/"param"/"slice") only where the wire does: KindWhole
-// hits the whole-experiment endpoint, KindParam a parameterized point
-// of a family, KindSlice the prefix-slice one.
+// Request kinds: the serving paths a figuresd fleet exposes. KindWhole
+// hits the fixed-experiment endpoint (the server's "experiment"
+// label), KindParam a parameterized point of a family (its "param"
+// label).
 const (
 	// KindWhole fetches a whole experiment table.
 	KindWhole = "whole"
 	// KindParam fetches one parameter point of an experiment family
 	// (GET /experiments/{family}?k=...).
 	KindParam = "param"
-	// KindSlice fetches one prefix range of a shardable experiment's
-	// exploration space.
-	KindSlice = "slice"
 )
 
 // DefaultRequestTimeout bounds one load-harness request. Shorter than
@@ -77,10 +73,10 @@ type MixEntry struct {
 	Weight int    `json:"weight"`
 }
 
-// ParseMix parses the -mix flag form "whole:3,slice:1" (a bare kind
+// ParseMix parses the -mix flag form "whole:3,param:1" (a bare kind
 // means weight 1) into mix entries. A kind listed more than once has
 // its weights summed into one entry at its first position —
-// "whole:2,slice:1,whole:1" is the rotation of "whole:3,slice:1", not
+// "whole:2,param:1,whole:1" is the rotation of "whole:3,param:1", not
 // two interleaved whole entries (which would silently skew the
 // rotation's period).
 func ParseMix(s string) ([]MixEntry, error) {
@@ -100,8 +96,8 @@ func ParseMix(s string) ([]MixEntry, error) {
 			}
 			weight = w
 		}
-		if kind != KindWhole && kind != KindParam && kind != KindSlice {
-			return nil, fmt.Errorf("load: unknown mix kind %q (want %s, %s, or %s)", kind, KindWhole, KindParam, KindSlice)
+		if kind != KindWhole && kind != KindParam {
+			return nil, fmt.Errorf("load: unknown mix kind %q (want %s or %s)", kind, KindWhole, KindParam)
 		}
 		if i, ok := index[kind]; ok {
 			mix[i].Weight += weight
@@ -140,8 +136,7 @@ type Options struct {
 	// Mix is the weighted request-kind rotation (see ParseMix).
 	Mix []MixEntry
 	// Experiments lists the experiment ids to spread whole-experiment
-	// fetches over, optionally weighted ("E1:3"); slice fetches use
-	// the shardable subset of the same list.
+	// fetches over, optionally weighted ("E1:3").
 	Experiments []string
 	// ParamPoints lists the parameter points KindParam requests cycle
 	// through, as "family:k=3,i0=0" entries (the family id, a colon,
@@ -153,16 +148,9 @@ type Options struct {
 	// Families maps ids to parameter schemas for param planning; nil
 	// means the default experiments.Families().
 	Families map[string]experiments.Family
-	// SliceRanges is how many contiguous ranges each shardable
-	// experiment's partition is carved into for slice requests; <= 0
-	// means 4 (the two-worker fleet's natural carve).
-	SliceRanges int
 	// Format is the whole-experiment fetch format; empty means json,
 	// the format the shard coordinator itself fetches.
 	Format string
-	// Shardables maps ids to partial-run seams for slice planning; nil
-	// means the default experiments.Shardables().
-	Shardables map[string]experiments.Shardable
 	// Client overrides the HTTP client; nil means one with
 	// RequestTimeout. Tests inject httptest clients here.
 	Client *http.Client
@@ -192,7 +180,7 @@ type TargetSummary struct {
 	CacheBefore *server.StatsCache `json:"cache_before,omitempty"`
 	CacheAfter  *server.StatsCache `json:"cache_after,omitempty"`
 	// CacheHitRate is the hit rate over the run itself: the delta in
-	// hits (whole + slice) over the delta in lookups. -1 when the
+	// hits over the delta in lookups. -1 when the
 	// target saw no cache lookups or reports no cache.
 	CacheHitRate float64 `json:"cache_hit_rate"`
 	// Endpoints is the target's server-side latency distribution
@@ -259,25 +247,19 @@ type plan struct {
 	kinds  []string // weight-expanded rotation
 	whole  []string // request paths for whole fetches
 	param  []string // request paths for parameterized fetches
-	slice  []string // request paths for slice fetches
 	wholeN atomic.Int64
 	paramN atomic.Int64
-	sliceN atomic.Int64
 }
 
 // next returns the kind, path, and per-kind sequence number of
 // arrival i. The sequence number — not the arrival index — drives
 // target round-robin: the mix rotation's period can share a factor
-// with the fleet size (whole:3,slice:1 against two targets puts every
-// slice on an odd arrival index), and indexing targets by arrival
+// with the fleet size (whole:3,param:1 against two targets puts every
+// param request on an odd arrival index), and indexing targets by arrival
 // would then starve some workers of a whole kind.
 func (p *plan) next(i int64) (kind, path string, seq int64) {
 	kind = p.kinds[i%int64(len(p.kinds))]
-	switch kind {
-	case KindSlice:
-		seq = p.sliceN.Add(1)
-		return kind, p.slice[seq%int64(len(p.slice))], seq
-	case KindParam:
+	if kind == KindParam {
 		seq = p.paramN.Add(1)
 		return kind, p.param[seq%int64(len(p.param))], seq
 	}
@@ -286,10 +268,8 @@ func (p *plan) next(i int64) (kind, path string, seq int64) {
 }
 
 // buildPlan validates the mix against the experiment list and
-// precomputes every request path, carving each shardable experiment's
-// partition once (Roots is deterministic, so every run of the same
-// config requests the same ranges — the ranges a two-worker
-// coordinator would carve when SliceRanges is 4).
+// precomputes every request path, so every run of the same config
+// issues the same requests.
 func buildPlan(opts *Options) (*plan, error) {
 	p := &plan{}
 	for _, m := range opts.Mix {
@@ -304,17 +284,12 @@ func buildPlan(opts *Options) (*plan, error) {
 	if _, err := experiments.LookupEncoder(format); err != nil {
 		return nil, err
 	}
-	shardables := opts.Shardables
-	if shardables == nil {
-		shardables = experiments.Shardables()
-	}
 	families := opts.Families
 	if families == nil {
 		families = experiments.Families()
 	}
-	needSlice, needParam := false, false
+	needParam := false
 	for _, m := range opts.Mix {
-		needSlice = needSlice || m.Kind == KindSlice
 		needParam = needParam || m.Kind == KindParam
 	}
 	// Explicit param points are planned once, independent of the
@@ -361,37 +336,9 @@ func buildPlan(opts *Options) (*plan, error) {
 				}
 			}
 		}
-		sh, ok := shardables[id]
-		if !ok || !needSlice {
-			continue
-		}
-		roots, err := sh.Roots()
-		if err != nil {
-			return nil, fmt.Errorf("load: carving %s: %w", id, err)
-		}
-		n := opts.SliceRanges
-		if n <= 0 {
-			n = 4
-		}
-		if n > len(roots) {
-			n = len(roots)
-		}
-		for i := 0; i < n; i++ {
-			lo, hi := i*len(roots)/n, (i+1)*len(roots)/n
-			if lo == hi {
-				continue
-			}
-			prefixes := experiments.FormatPrefixes(roots[lo:hi])
-			for w := 0; w < weight; w++ {
-				p.slice = append(p.slice, "/experiments/"+id+"?prefixes="+prefixes)
-			}
-		}
 	}
 	if len(p.whole) == 0 {
 		return nil, fmt.Errorf("load: no experiments to fetch")
-	}
-	if needSlice && len(p.slice) == 0 {
-		return nil, fmt.Errorf("load: mix includes %q but no listed experiment is shardable", KindSlice)
 	}
 	if needParam && len(p.param) == 0 {
 		return nil, fmt.Errorf("load: mix includes %q but no listed experiment is parameterized", KindParam)
@@ -509,9 +456,9 @@ func Run(ctx context.Context, opts Options) (*Summary, error) {
 		client:   client,
 		targets:  targets,
 		logf:     logf,
-		kindLat:  map[string]*hist.Histogram{KindWhole: hist.New(), KindParam: hist.New(), KindSlice: hist.New()},
-		kindReqs: map[string]*atomic.Int64{KindWhole: {}, KindParam: {}, KindSlice: {}},
-		kindErrs: map[string]*atomic.Int64{KindWhole: {}, KindParam: {}, KindSlice: {}},
+		kindLat:  map[string]*hist.Histogram{KindWhole: hist.New(), KindParam: hist.New()},
+		kindReqs: map[string]*atomic.Int64{KindWhole: {}, KindParam: {}},
+		kindErrs: map[string]*atomic.Int64{KindWhole: {}, KindParam: {}},
 		perTgt:   make([]atomic.Int64, len(targets)),
 	}
 
@@ -567,9 +514,8 @@ func Run(ctx context.Context, opts Options) (*Summary, error) {
 			ts.CacheBefore = b.stats.Cache
 		}
 		if ts.CacheBefore != nil && ts.CacheAfter != nil {
-			hits := (ts.CacheAfter.Hits + ts.CacheAfter.SliceHits) - (ts.CacheBefore.Hits + ts.CacheBefore.SliceHits)
-			lookups := hits + (ts.CacheAfter.Misses + ts.CacheAfter.SliceMisses) -
-				(ts.CacheBefore.Misses + ts.CacheBefore.SliceMisses)
+			hits := ts.CacheAfter.Hits - ts.CacheBefore.Hits
+			lookups := hits + ts.CacheAfter.Misses - ts.CacheBefore.Misses
 			if lookups > 0 {
 				ts.CacheHitRate = float64(hits) / float64(lookups)
 			}

@@ -16,22 +16,11 @@ import (
 	"repro/internal/trace"
 )
 
-// fakeShardables returns a shardable seam whose partition has four
-// roots — enough for the planner to carve slice request paths without
-// running any real exploration.
-func fakeShardables() map[string]experiments.Shardable {
-	return map[string]experiments.Shardable{
-		"S1": {Roots: func() ([][]int, error) {
-			return [][]int{{0}, {1}, {2}, {3}}, nil
-		}},
-	}
-}
-
-// fakeFleet is an httptest figuresd: instant 200s for whole and slice
-// fetches, counting each kind, with a /stats body whose cache
+// fakeFleet is an httptest figuresd: instant 200s for whole and
+// parameterized fetches, counting each kind, with a /stats body whose cache
 // counters advance between scrapes.
 type fakeFleet struct {
-	whole, slice atomic.Int64
+	whole, param atomic.Int64
 	scrapes      atomic.Int64
 	traced       atomic.Int64 // experiment requests carrying a trace header
 	failID       string
@@ -47,8 +36,8 @@ func (f *fakeFleet) handler() http.Handler {
 			http.Error(w, "injected failure", http.StatusInternalServerError)
 			return
 		}
-		if r.URL.Query().Get("prefixes") != "" {
-			f.slice.Add(1)
+		if len(r.URL.Query()) > 1 { // parameters beside format
+			f.param.Add(1)
 		} else {
 			f.whole.Add(1)
 		}
@@ -56,7 +45,7 @@ func (f *fakeFleet) handler() http.Handler {
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		n := f.scrapes.Add(1)
-		st := server.StatsResponse{Requests: f.whole.Load() + f.slice.Load()}
+		st := server.StatsResponse{Requests: f.whole.Load() + f.param.Load()}
 		if n > 1 { // later scrapes report cache traffic
 			st.Cache = &server.StatsCache{Hits: 8, Misses: 2}
 		} else {
@@ -68,7 +57,7 @@ func (f *fakeFleet) handler() http.Handler {
 }
 
 // TestMixWeightingAndPacing: the deterministic mix rotation issues
-// whole and slice requests in exactly the configured ratio, and the
+// whole and param requests in exactly the configured ratio, and the
 // open-loop pacer stays within tolerance of target QPS against an
 // instant server — the arrival count is bounded above by the schedule
 // and below by a generous slow-CI floor.
@@ -82,9 +71,10 @@ func TestMixWeightingAndPacing(t *testing.T) {
 		Targets:     []string{ts.URL},
 		QPS:         qps,
 		Duration:    window,
-		Mix:         []MixEntry{{Kind: KindWhole, Weight: 3}, {Kind: KindSlice, Weight: 1}},
-		Experiments: []string{"E1", "S1"},
-		Shardables:  fakeShardables(),
+		Mix:         []MixEntry{{Kind: KindWhole, Weight: 3}, {Kind: KindParam, Weight: 1}},
+		Experiments: []string{"E1", "P1"},
+		Families:    loadFamilies("P1"),
+		ParamPoints: []string{"P1:x=3"},
 		Client:      ts.Client(),
 	})
 	if err != nil {
@@ -100,16 +90,19 @@ func TestMixWeightingAndPacing(t *testing.T) {
 	if sum.AchievedQPS <= 0 {
 		t.Errorf("achieved_qps = %v", sum.AchievedQPS)
 	}
-	whole, slice := sum.Kinds[KindWhole], sum.Kinds[KindSlice]
-	if whole.Requests+slice.Requests != sum.Requests {
-		t.Errorf("kind counts %d+%d don't sum to %d", whole.Requests, slice.Requests, sum.Requests)
+	whole, param := sum.Kinds[KindWhole], sum.Kinds[KindParam]
+	if whole.Requests+param.Requests != sum.Requests {
+		t.Errorf("kind counts %d+%d don't sum to %d", whole.Requests, param.Requests, sum.Requests)
 	}
-	// The rotation is W W W S: across any prefix the ratio is exact to
+	// The rotation is W W W P: across any prefix the ratio is exact to
 	// within one rotation's worth of requests.
-	if diff := whole.Requests - 3*slice.Requests; diff < -3 || diff > 3 {
-		t.Errorf("mix ratio off: whole=%d slice=%d", whole.Requests, slice.Requests)
+	if diff := whole.Requests - 3*param.Requests; diff < -3 || diff > 3 {
+		t.Errorf("mix ratio off: whole=%d param=%d", whole.Requests, param.Requests)
 	}
-	if got := fleet.whole.Load() + fleet.slice.Load(); got != sum.Requests {
+	if fleet.param.Load() != param.Requests {
+		t.Errorf("server saw %d param requests, summary says %d", fleet.param.Load(), param.Requests)
+	}
+	if got := fleet.whole.Load() + fleet.param.Load(); got != sum.Requests {
 		t.Errorf("server saw %d requests, summary says %d", got, sum.Requests)
 	}
 	// Client-side latency histograms recorded every request.
@@ -288,9 +281,9 @@ func TestConfigErrors(t *testing.T) {
 		{"empty mix", func(o *Options) { o.Mix = nil }},
 		{"bad format", func(o *Options) { o.Format = "xml" }},
 		{"bad experiment weight", func(o *Options) { o.Experiments = []string{"E1:zero"} }},
-		{"slice without shardables", func(o *Options) {
-			o.Mix = []MixEntry{{Kind: KindSlice, Weight: 1}}
-			o.Shardables = map[string]experiments.Shardable{}
+		{"param without families", func(o *Options) {
+			o.Mix = []MixEntry{{Kind: KindParam, Weight: 1}}
+			o.Families = map[string]experiments.Family{}
 		}},
 	}
 	for _, tc := range cases {
@@ -305,18 +298,18 @@ func TestConfigErrors(t *testing.T) {
 // TestParseMix: the flag syntax round-trips weights and rejects
 // garbage.
 func TestParseMix(t *testing.T) {
-	mix, err := ParseMix("whole:3, slice:1")
+	mix, err := ParseMix("whole:3, param:1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []MixEntry{{Kind: KindWhole, Weight: 3}, {Kind: KindSlice, Weight: 1}}
+	want := []MixEntry{{Kind: KindWhole, Weight: 3}, {Kind: KindParam, Weight: 1}}
 	if len(mix) != 2 || mix[0] != want[0] || mix[1] != want[1] {
 		t.Errorf("mix = %+v, want %+v", mix, want)
 	}
 	if mix, err := ParseMix("whole"); err != nil || mix[0].Weight != 1 {
 		t.Errorf("bare kind: %+v, %v", mix, err)
 	}
-	for _, bad := range []string{"", "bogus:1", "whole:0", "whole:-2", "whole:x"} {
+	for _, bad := range []string{"", "bogus:1", "slice:1", "whole:0", "whole:-2", "whole:x"} {
 		if _, err := ParseMix(bad); err == nil {
 			t.Errorf("ParseMix(%q) succeeded", bad)
 		}

@@ -31,13 +31,13 @@ func loadFamilies(id string) map[string]experiments.Family {
 
 // TestParseMixMergesDuplicates: a repeated kind folds its weights into
 // the first occurrence instead of erroring or double-rotating — so
-// "whole:2,slice:1,whole:3" is the 5:1 mix the operator summed up.
+// "whole:2,param:1,whole:3" is the 5:1 mix the operator summed up.
 func TestParseMixMergesDuplicates(t *testing.T) {
-	mix, err := ParseMix("whole:2,slice:1,whole:3")
+	mix, err := ParseMix("whole:2,param:1,whole:3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []MixEntry{{Kind: KindWhole, Weight: 5}, {Kind: KindSlice, Weight: 1}}
+	want := []MixEntry{{Kind: KindWhole, Weight: 5}, {Kind: KindParam, Weight: 1}}
 	if len(mix) != 2 || mix[0] != want[0] || mix[1] != want[1] {
 		t.Fatalf("mix = %+v, want %+v", mix, want)
 	}
@@ -52,7 +52,7 @@ func TestParseMixMergesDuplicates(t *testing.T) {
 }
 
 // TestMixRotationWithParamKind pins the deterministic rotation across
-// all three kinds: arrivals walk the weighted kind cycle in order, and
+// both kinds: arrivals walk the weighted kind cycle in order, and
 // each kind's paths cycle independently — the same config always
 // issues the same request sequence.
 func TestMixRotationWithParamKind(t *testing.T) {

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Instance is one fresh build of a deterministic system for Explore:
 // the process closures plus the seams the explorer reads the run
@@ -31,17 +28,6 @@ type Instance struct {
 
 // Options configures Explore.
 type Options struct {
-	// Roots restricts the exploration to the subtrees under these
-	// forced schedule prefixes: the aggregate covers exactly the
-	// executions whose decision sequence extends one of them, each
-	// counted once. Roots must be live prefixes of the system's
-	// decision tree, none a strict prefix of another — exactly what
-	// PartitionRoots returns (any subset or regrouping of one
-	// partition qualifies). A root the scheduler cannot follow fails
-	// the exploration with ErrPrefixNotLive rather than silently
-	// exploring a different subtree. Nil means the whole tree; a
-	// non-nil empty slice explores nothing.
-	Roots [][]int
 	// Memo selects the canonical-state memoized explorer: a replay DFS
 	// that stores each subtree's merged contribution under
 	// (Instance.State, depth) and reuses it wherever an equivalent node
@@ -77,50 +63,31 @@ type Stats struct {
 	StatesPruned int
 }
 
-// ErrPrefixNotLive reports that a forced prefix handed to Explore is
-// not a live path of the decision tree — some forced pid was not
-// enabled at its turn, so Replay substituted another process and the
-// run left the claimed subtree. Serving such a run would double-count
-// executions, so it is an error instead.
-var ErrPrefixNotLive = errors.New("sched: forced prefix is not a live path of the decision tree")
-
 // errMemoState reports a memoized exploration without the State seam.
 var errMemoState = errors.New("sched: Instance.State is required for memoized exploration")
 
 // Explore walks every crash-free interleaving of a deterministic
-// system under opts.Roots and returns the merged Leaf contributions,
-// the exploration counters, and the first error. Because processes are
-// deterministic, the execution space is the tree of scheduler choices;
-// both modes walk it by replay DFS, re-running the system with a forced
-// prefix of choices. factory must build a fresh, fully independent
-// instance (fresh shared memory and closures) on every call.
+// system and returns the merged Leaf contributions, the exploration
+// counters, and the first error. Because processes are deterministic,
+// the execution space is the tree of scheduler choices; both modes walk
+// it by replay DFS, re-running the system with a forced prefix of
+// choices. factory must build a fresh, fully independent instance
+// (fresh shared memory and closures) on every call.
 func Explore(factory func() Instance, opts Options) (any, Stats, error) {
-	roots := opts.Roots
-	if roots == nil {
-		roots = [][]int{{}}
-	}
 	e := &explorer{factory: factory, opts: opts}
 	defer func() { e.rn.close() }()
+	var total any
+	var err error
 	if opts.Memo {
 		e.memo = make(map[memoKey]memoEntry)
+		var leaves int
+		total, leaves, err = e.memoDFS(nil)
+		e.stats.Executions += leaves
+	} else {
+		total, err = e.exhaustiveDFS(nil)
 	}
-	var total any
-	for _, root := range roots {
-		var contrib any
-		var err error
-		if opts.Memo {
-			var leaves int
-			contrib, leaves, err = e.memoDFS(root, true)
-			e.stats.Executions += leaves
-		} else {
-			contrib, err = e.exhaustiveDFS(root, true)
-		}
-		if err != nil {
-			return nil, e.stats, err
-		}
-		if total, err = e.merge(total, contrib); err != nil {
-			return nil, e.stats, err
-		}
+	if err != nil {
+		return nil, e.stats, err
 	}
 	return total, e.stats, nil
 }
@@ -184,14 +151,11 @@ func (e *explorer) release(res *Result) {
 // after the prefix — once per leaf of the tree. The branches are
 // collected before recursing, so the replay's Result goes straight back
 // to the pool and one Result serves the whole walk.
-func (e *explorer) exhaustiveDFS(prefix []int, seed bool) (any, error) {
+func (e *explorer) exhaustiveDFS(prefix []int) (any, error) {
 	inst := e.factory()
 	res, err := e.replay(inst, &Replay{Prefix: prefix})
 	if err != nil {
 		return nil, err
-	}
-	if seed && !replayedExactly(res, prefix) {
-		return nil, fmt.Errorf("%w: %v", ErrPrefixNotLive, prefix)
 	}
 	e.stats.Executions++
 	var contrib any
@@ -203,7 +167,7 @@ func (e *explorer) exhaustiveDFS(prefix []int, seed bool) (any, error) {
 	branches := untakenBranches(res, len(prefix))
 	e.release(res)
 	for _, branch := range branches {
-		sub, err := e.exhaustiveDFS(branch, false)
+		sub, err := e.exhaustiveDFS(branch)
 		if err != nil {
 			return nil, err
 		}
@@ -239,74 +203,4 @@ func branchAt(res *Result, i, alt int) []int {
 	}
 	branch[i] = alt
 	return branch
-}
-
-// replayedExactly reports whether an execution actually took every
-// step of its forced prefix — the witness that the prefix is a live
-// path and the run stayed inside the claimed subtree.
-func replayedExactly(res *Result, prefix []int) bool {
-	if len(res.Decisions) < len(prefix) {
-		return false
-	}
-	for i, pid := range prefix {
-		if res.Decisions[i].Pid != pid {
-			return false
-		}
-	}
-	return true
-}
-
-// PartitionRoots enumerates the live prefixes of the decision tree at
-// the given cut depth: every prefix of exactly depth scheduler choices
-// that some execution realizes, plus the full decision sequence of any
-// execution that terminates in fewer than depth choices. The returned
-// roots are pairwise prefix-free and their subtrees partition the
-// execution set, so a coordinator can carve them into disjoint ranges,
-// hand each range to Explore (Options.Roots) on a different worker, and
-// know the union of the aggregates is the whole space.
-//
-// Roots are returned in deterministic DFS order (enabled sets are
-// sorted), so every caller carves the same tree identically. depth <=
-// 0 returns the single empty prefix (the whole tree as one range); a
-// depth beyond the tree height returns one root per execution. The
-// cost is one replay run per interior node above the cut — for a
-// shallow cut, a vanishing fraction of the exploration it partitions.
-func PartitionRoots(factory func() []ProcFunc, maxSteps, depth int) ([][]int, error) {
-	if depth <= 0 {
-		return [][]int{{}}, nil
-	}
-	var roots [][]int
-	var descend func(prefix []int, res *Result) error
-	descend = func(prefix []int, res *Result) error {
-		if len(prefix) >= depth || len(res.Decisions) <= len(prefix) {
-			// At the cut, or the execution ends here: this prefix's
-			// subtree is one partition cell.
-			roots = append(roots, prefix)
-			return nil
-		}
-		for _, pid := range res.EnabledSets[len(prefix)] {
-			child := append(prefix[:len(prefix):len(prefix)], pid)
-			cres := res
-			if pid != res.Decisions[len(prefix)].Pid {
-				// Off the observed path: replay the sibling branch.
-				r, err := Run(Config{Scheduler: &Replay{Prefix: child}, MaxSteps: maxSteps}, factory())
-				if err != nil {
-					return err
-				}
-				cres = r
-			}
-			if err := descend(child, cres); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	res, err := Run(Config{Scheduler: &Replay{}, MaxSteps: maxSteps}, factory())
-	if err != nil {
-		return nil, err
-	}
-	if err := descend(nil, res); err != nil {
-		return nil, err
-	}
-	return roots, nil
 }

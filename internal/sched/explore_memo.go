@@ -1,7 +1,5 @@
 package sched
 
-import "fmt"
-
 // This file implements the memoized mode of Explore (Options.Memo): a
 // replay DFS that consults a visited-set keyed by (canonical state,
 // depth) and prunes subtrees whose aggregate contribution is already
@@ -68,7 +66,7 @@ func (m *memoProbe) Next(enabled []int) Decision {
 
 // memoDFS explores the subtree under prefix, returning its merged
 // contribution and the number of executions it accounts for.
-func (e *explorer) memoDFS(prefix []int, seed bool) (any, int, error) {
+func (e *explorer) memoDFS(prefix []int) (any, int, error) {
 	inst := e.factory()
 	if inst.State == nil {
 		return nil, 0, errMemoState
@@ -82,9 +80,6 @@ func (e *explorer) memoDFS(prefix []int, seed bool) (any, int, error) {
 	res, err := e.replay(inst, probe)
 	if err != nil {
 		return nil, 0, err
-	}
-	if seed && !replayedExactly(res, prefix) {
-		return nil, 0, fmt.Errorf("%w: %v", ErrPrefixNotLive, prefix)
 	}
 
 	// top is the depth the replay reached: the depth of the memo hit,
@@ -125,7 +120,7 @@ func (e *explorer) memoDFS(prefix []int, seed bool) (any, int, error) {
 			if alt <= chosen {
 				continue
 			}
-			sub, subLeaves, err := e.memoDFS(branchAt(res, i, alt), false)
+			sub, subLeaves, err := e.memoDFS(branchAt(res, i, alt))
 			if err != nil {
 				return nil, 0, err
 			}

@@ -1,11 +1,9 @@
 package sched_test
 
 // The sched half of the memoized-vs-exhaustive differential layer
-// (the partition gates, re-aimed at the memo table): for a grid of
-// small deterministic systems, the memoized explorer must produce the
-// exact leaf-fingerprint multiset and execution count of the
-// exhaustive replay DFS — whole-tree, and as a union over every
-// PartitionRoots partition — while actually replaying fewer runs.
+// for a grid of small deterministic systems, the memoized explorer
+// must produce the exact leaf-fingerprint multiset and execution count
+// of the exhaustive replay DFS while actually replaying fewer runs.
 //
 // Fingerprints are state-determined and relabelling-invariant (sorted
 // per-process outcomes), never decision sequences: a pruned subtree's
@@ -13,7 +11,6 @@ package sched_test
 // memoized twin standing in for them.
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -141,13 +138,11 @@ func (s *asymSys) leafFP(r *sched.Result) string {
 	return fmt.Sprintf("%v d=%v b=%v", fin, r.Deadlocked, r.BudgetExceeded)
 }
 
-// memoCase is one row of the differential grid: a process factory for
-// PartitionRoots, and an Instance factory exposing the State seam that
-// both exploration modes run.
+// memoCase is one row of the differential grid: an Instance factory
+// exposing the State seam that both exploration modes run.
 type memoCase struct {
-	name    string
-	factory func() []sched.ProcFunc
-	memo    func() sched.Instance
+	name string
+	memo func() sched.Instance
 }
 
 func memoGrid() []memoCase {
@@ -165,9 +160,6 @@ func memoGrid() []memoCase {
 		cfg := cfg
 		cases = append(cases, memoCase{
 			name: fmt.Sprintf("ring/n=%d,k=%d,mod=%d,ordered=%v", cfg.n, cfg.k, cfg.mod, cfg.ordered),
-			factory: func() []sched.ProcFunc {
-				return newRingSys(cfg.n, cfg.k, cfg.mod, cfg.ordered).procs()
-			},
 			memo: func() sched.Instance {
 				s := newRingSys(cfg.n, cfg.k, cfg.mod, cfg.ordered)
 				return sched.Instance{
@@ -182,9 +174,6 @@ func memoGrid() []memoCase {
 		totals := totals
 		cases = append(cases, memoCase{
 			name: fmt.Sprintf("steps/%v", totals),
-			factory: func() []sched.ProcFunc {
-				return newAsymSys(totals).procs()
-			},
 			memo: func() sched.Instance {
 				s := newAsymSys(totals)
 				return sched.Instance{
@@ -245,85 +234,10 @@ func TestMemoMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestMemoPrefixesUnionEqualsExploreAll mirrors the partition gate in
-// memoized mode: for every cut depth, the union of
-// per-root memoized explorations (separate calls, separate memo
-// tables — the sharded shape) and the single whole-partition call
-// both reproduce the exhaustive multiset exactly.
-func TestMemoPrefixesUnionEqualsExploreAll(t *testing.T) {
-	for _, mc := range memoGrid() {
-		mc := mc
-		t.Run(mc.name, func(t *testing.T) {
-			want, runs := exhaustiveCounts(t, mc)
-			for depth := 0; depth <= 4; depth++ {
-				roots, err := sched.PartitionRoots(mc.factory, 0, depth)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Whole partition, one call (one shared memo table).
-				agg, stats, err := sched.Explore(mc.memo, sched.Options{Roots: roots, Memo: true, Merge: schedtest.Merge})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := schedtest.Diff(schedtest.AsCounts(agg), want); d != "" {
-					t.Fatalf("depth %d: one-call partition multiset differs:\n%s", depth, d)
-				}
-				if stats.Executions != runs {
-					t.Fatalf("depth %d: one-call partition accounts for %d executions, want %d", depth, stats.Executions, runs)
-				}
-				// Per-root calls, merged by hand (the sharded union).
-				union := schedtest.Counts{}
-				total := 0
-				for _, root := range roots {
-					agg, stats, err := sched.Explore(mc.memo, sched.Options{Roots: [][]int{root}, Memo: true, Merge: schedtest.Merge})
-					if err != nil {
-						t.Fatalf("depth %d root %v: %v", depth, root, err)
-					}
-					union = schedtest.Merge(union, schedtest.AsCounts(agg)).(schedtest.Counts)
-					total += stats.Executions
-				}
-				if d := schedtest.Diff(union, want); d != "" {
-					t.Fatalf("depth %d: per-root union multiset differs:\n%s", depth, d)
-				}
-				if total != runs {
-					t.Fatalf("depth %d: per-root union accounts for %d executions, want %d", depth, total, runs)
-				}
-			}
-		})
-	}
-}
-
-// TestMemoRejectsDeadPrefix: the memoized explorer enforces the same
-// liveness contract on seed roots as the exhaustive one.
-func TestMemoRejectsDeadPrefix(t *testing.T) {
-	memo := func() sched.Instance {
-		s := newAsymSys([]int{1, 1})
-		return sched.Instance{Procs: s.procs(), State: s.state, Leaf: schedtest.Leaf(s.leafFP)}
-	}
-	for _, root := range [][]int{
-		{5},          // pid 5 does not exist
-		{0, 0, 0, 0}, // longer than any execution
-	} {
-		_, _, err := sched.Explore(memo, sched.Options{Roots: [][]int{root}, Memo: true, Merge: schedtest.Merge})
-		if !errors.Is(err, sched.ErrPrefixNotLive) {
-			t.Errorf("root %v: err = %v, want ErrPrefixNotLive", root, err)
-		}
-	}
-	if _, _, err := sched.Explore(memo, sched.Options{Roots: [][]int{{1}}, Memo: true, Merge: schedtest.Merge}); err != nil {
-		t.Errorf("live root: %v", err)
-	}
-}
-
-// TestMemoEmptyRootsAndConfigErrors pins the degenerate contracts.
-func TestMemoEmptyRootsAndConfigErrors(t *testing.T) {
-	agg, stats, err := sched.Explore(func() sched.Instance {
-		t.Fatal("factory called with no roots")
-		return sched.Instance{}
-	}, sched.Options{Roots: [][]int{}, Memo: true})
-	if err != nil || agg != nil || stats.Executions != 0 {
-		t.Fatalf("empty roots = (%v, %+v, %v); want nil aggregate, zero stats, nil error", agg, stats, err)
-	}
-
+// TestMemoConfigErrors pins the configuration contracts: a memoized
+// exploration needs the State seam, and non-nil Leaf contributions
+// need a Merge in either mode.
+func TestMemoConfigErrors(t *testing.T) {
 	s := newAsymSys([]int{1, 1})
 	if _, _, err := sched.Explore(func() sched.Instance {
 		return sched.Instance{Procs: s.procs()}

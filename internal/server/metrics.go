@@ -48,7 +48,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"Always 1; the registry_version label names the experiment generation served.",
 		sample{labels: fmt.Sprintf("registry_version=%q", experiments.RegistryVersion), value: 1})
 	writeMetric(&b, "repro_requests_total", "counter",
-		"Experiment and slice requests accepted since startup.",
+		"Experiment requests accepted since startup.",
 		sample{value: float64(s.requests.Load())})
 	writeMetric(&b, "repro_in_flight", "gauge",
 		"Requests currently between arrival and response.",
@@ -64,12 +64,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"Whole-result cache hits.", sample{value: float64(st.Hits)})
 		writeMetric(&b, "repro_cache_misses_total", "counter",
 			"Whole-result cache misses.", sample{value: float64(st.Misses)})
-		writeMetric(&b, "repro_cache_slice_hits_total", "counter",
-			"Prefix-slice cache hits.", sample{value: float64(st.SliceHits)})
-		writeMetric(&b, "repro_cache_slice_misses_total", "counter",
-			"Prefix-slice cache misses.", sample{value: float64(st.SliceMisses)})
-		writeMetric(&b, "repro_cache_slice_stores_total", "counter",
-			"Prefix-slice envelopes stored.", sample{value: float64(st.SliceStores)})
 		writeMetric(&b, "repro_cache_corrupt_total", "counter",
 			"Cache entries rejected as corrupt.", sample{value: float64(st.Corrupt)})
 		writeMetric(&b, "repro_cache_evicted_total", "counter",
@@ -101,7 +95,7 @@ func (s *Server) writeEndpointHistograms(b *strings.Builder) {
 	}
 	sort.Strings(endpoints)
 	writeHeader(b, "repro_request_duration_seconds", "histogram",
-		"Request latency by endpoint (experiment = whole fetch, slice = prefix slice).")
+		"Request latency by endpoint (experiment = fixed experiment, param = non-default parameter point).")
 	for _, name := range endpoints {
 		writeHistogram(b, "repro_request_duration_seconds",
 			fmt.Sprintf("endpoint=%q", name), s.endpointLat[name].Snapshot())

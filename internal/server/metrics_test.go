@@ -12,8 +12,24 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/experiments"
 	"repro/internal/trace"
 )
+
+// newTableServer stands up a server over two synthetic one-row
+// experiments, S1 and P1.
+func newTableServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	table := func(id string) experiments.Runner {
+		return func() (*experiments.Table, error) {
+			return &experiments.Table{ID: id, Headers: []string{"h"}, Rows: [][]string{{"v"}}}, nil
+		}
+	}
+	reg := map[string]experiments.Runner{"S1": table("S1"), "P1": table("P1")}
+	ts := httptest.NewServer(New(Options{Registry: reg}))
+	t.Cleanup(ts.Close)
+	return ts
+}
 
 // getWithHeader is get plus the response headers, for asserting the
 // trace-ID echo.
@@ -43,7 +59,7 @@ func getWithHeader(t *testing.T, ts *httptest.Server, path string, reqHeader map
 // event and closes with a done event carrying the status; an unknown
 // ID is a 404.
 func TestTraceEndpoint(t *testing.T) {
-	ts := newPrefixServer(t)
+	ts := newTableServer(t)
 	status, _, hdr := getWithHeader(t, ts, "/experiments/S1?format=json", nil)
 	if status != http.StatusOK {
 		t.Fatalf("experiment request failed: %d", status)
@@ -94,11 +110,11 @@ func TestTraceEndpoint(t *testing.T) {
 // honored — journaled under, echoed back — so a coordinator's ID names
 // the same request in the worker's journal.
 func TestTraceHeaderPropagation(t *testing.T) {
-	ts := newPrefixServer(t)
+	ts := newTableServer(t)
 	const id = "deadbeef00112233"
-	status, _, hdr := getWithHeader(t, ts, "/experiments/S1?prefixes=0", map[string]string{trace.Header: id})
+	status, _, hdr := getWithHeader(t, ts, "/experiments/S1?format=json", map[string]string{trace.Header: id})
 	if status != http.StatusOK {
-		t.Fatalf("slice request failed: %d", status)
+		t.Fatalf("experiment request failed: %d", status)
 	}
 	if got := hdr.Get(trace.Header); got != id {
 		t.Fatalf("echoed trace id = %q, want the supplied %q", got, id)
@@ -111,15 +127,15 @@ func TestTraceHeaderPropagation(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &tr); err != nil {
 		t.Fatal(err)
 	}
-	// The slice path records its exploration, tagged with the range.
-	var sawExplore bool
+	// The request's decisions are journaled under the supplied ID.
+	var sawMiss bool
 	for _, ev := range tr.Events {
-		if ev.Kind == trace.KindExplore && ev.Range == "0" {
-			sawExplore = true
+		if ev.Kind == trace.KindCacheMiss {
+			sawMiss = true
 		}
 	}
-	if !sawExplore {
-		t.Fatalf("no explore event for range 0 in %+v", tr.Events)
+	if !sawMiss {
+		t.Fatalf("no cache_miss event under the supplied id in %+v", tr.Events)
 	}
 }
 
@@ -129,12 +145,11 @@ func TestTraceHeaderPropagation(t *testing.T) {
 // whose +Inf bucket equals _count. This is the schema CI's load-smoke
 // scrape asserts against, so it changes as deliberately as /stats.
 func TestMetricsExposition(t *testing.T) {
-	ts := newPrefixServer(t)
-	if status, _, _ := getWithHeader(t, ts, "/experiments/S1?format=json", nil); status != http.StatusOK {
-		t.Fatal("experiment request failed")
-	}
-	if status, _, _ := getWithHeader(t, ts, "/experiments/S1?prefixes=0", nil); status != http.StatusOK {
-		t.Fatal("slice request failed")
+	ts := newTableServer(t)
+	for _, format := range []string{"json", "text"} {
+		if status, _, _ := getWithHeader(t, ts, "/experiments/S1?format="+format, nil); status != http.StatusOK {
+			t.Fatal("experiment request failed")
+		}
 	}
 
 	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
@@ -174,10 +189,8 @@ func TestMetricsExposition(t *testing.T) {
 		t.Errorf("duration # TYPE emitted %d times, want 1", n)
 	}
 
-	for _, endpoint := range []string{EndpointExperiment, EndpointSlice} {
-		assertHistogramSeries(t, body, "repro_request_duration_seconds",
-			fmt.Sprintf("endpoint=%q", endpoint), 1)
-	}
+	assertHistogramSeries(t, body, "repro_request_duration_seconds",
+		fmt.Sprintf("endpoint=%q", EndpointExperiment), 2)
 	assertHistogramSeries(t, body, "repro_experiment_duration_seconds", `id="S1"`, 2)
 }
 
@@ -217,42 +230,6 @@ func assertHistogramSeries(t *testing.T, body, name, label string, wantCount int
 	}
 	if n, _ := strconv.ParseInt(cm[1], 10, 64); n != wantCount {
 		t.Fatalf("%s{%s}: _count = %d, want %d", name, label, n, wantCount)
-	}
-}
-
-// TestMetricsSliceCacheTrace: with an artifact store behind the
-// server, a cold slice records miss+store and a warm identical slice
-// records a hit — the journal evidence for the read-through hierarchy.
-func TestMetricsSliceCacheTrace(t *testing.T) {
-	ts, _, _ := newCachedPrefixServer(t)
-	const cold, warm = "aaaa000000000001", "aaaa000000000002"
-	if status, _, _ := getWithHeader(t, ts, "/experiments/S1?prefixes=0",
-		map[string]string{trace.Header: cold}); status != http.StatusOK {
-		t.Fatal("cold slice failed")
-	}
-	if status, _, _ := getWithHeader(t, ts, "/experiments/S1?prefixes=0",
-		map[string]string{trace.Header: warm}); status != http.StatusOK {
-		t.Fatal("warm slice failed")
-	}
-	kinds := func(id string) map[string]bool {
-		_, body, _ := getWithHeader(t, ts, "/trace/"+id, nil)
-		var tr trace.Trace
-		if err := json.Unmarshal([]byte(body), &tr); err != nil {
-			t.Fatalf("trace %s: %v", id, err)
-		}
-		out := make(map[string]bool)
-		for _, ev := range tr.Events {
-			out[ev.Kind] = true
-		}
-		return out
-	}
-	coldKinds := kinds(cold)
-	if !coldKinds[trace.KindSliceCacheMiss] || !coldKinds[trace.KindSliceCacheStore] {
-		t.Fatalf("cold slice kinds = %v, want miss+store", coldKinds)
-	}
-	warmKinds := kinds(warm)
-	if !warmKinds[trace.KindSliceCacheHit] || warmKinds[trace.KindExplore] {
-		t.Fatalf("warm slice kinds = %v, want a hit and no exploration", warmKinds)
 	}
 }
 

@@ -217,3 +217,54 @@ func TestParamBackendRoutes(t *testing.T) {
 		t.Fatalf("backend saw params %q", backendParams)
 	}
 }
+
+// TestPrefixSliceRejections: the retired prefix-slice spelling is
+// an unknown parameter like any other — a 400 from the family's
+// parameter validation, never the whole table — and neither /stats
+// nor /metrics carries a slice endpoint or slice cache counters.
+func TestPrefixSliceRejections(t *testing.T) {
+	store, err := cache.Open(t.TempDir(), cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	execs := new(atomic.Int64)
+	ts := httptest.NewServer(New(Options{
+		Registry: countingRegistry("E2", 0, execs),
+		Families: map[string]experiments.Family{"E2": experiments.Families()["E2"]},
+		Cache:    store,
+	}))
+	t.Cleanup(ts.Close)
+
+	status, body := get(t, ts, "/experiments/E2?prefixes=-")
+	if status != http.StatusBadRequest || !strings.Contains(body, `unknown parameter "prefixes"`) {
+		t.Fatalf("?prefixes=- = %d %q, want 400 unknown parameter", status, body)
+	}
+	if status, _ := get(t, ts, "/experiments/E2?prefixes=-&format=json"); status != http.StatusBadRequest {
+		t.Fatalf("?prefixes=-&format=json = %d, want 400", status)
+	}
+	if status, _ := get(t, ts, "/experiments/E2"); status != http.StatusOK {
+		t.Fatalf("plain E2 = %d", status)
+	}
+	if n := execs.Load(); n != 1 {
+		t.Fatalf("E2 executed %d times, want once (the rejected requests run nothing)", n)
+	}
+
+	_, stats := get(t, ts, "/stats")
+	_, metrics := get(t, ts, "/metrics")
+	var st StatsResponse
+	if err := json.Unmarshal([]byte(stats), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Cache == nil {
+		t.Fatal("/stats has no cache section")
+	}
+	if _, ok := st.Endpoints["slice"]; ok {
+		t.Errorf("/stats endpoints carry a slice entry: %+v", st.Endpoints)
+	}
+	if strings.Contains(stats, "slice") {
+		t.Errorf("/stats mentions slices:\n%s", stats)
+	}
+	if strings.Contains(metrics, "slice") {
+		t.Errorf("/metrics mentions slices:\n%s", metrics)
+	}
+}

@@ -46,7 +46,7 @@ import (
 const DefaultTimeout = 2 * time.Minute
 
 // RegistryVersionHeader carries experiments.RegistryVersion on every
-// experiment and slice response, so a shard coordinator can refuse to
+// experiment response, so a shard coordinator can refuse to
 // merge bytes from a worker serving a different experiment generation
 // (the /stats and /experiments bodies expose it too, but the header
 // travels with the very response being merged).
@@ -59,9 +59,7 @@ type Options struct {
 	// experiments.Registry().
 	Registry map[string]experiments.Runner
 	// Cache, when non-nil, backs every execution (see
-	// experiments.Options.Cache). When it is an artifact store
-	// (experiments.SliceCache), prefix-slice requests are served from
-	// and stored into it too.
+	// experiments.Options.Cache).
 	Cache experiments.Cache
 	// Timeout bounds each experiment execution; 0 means
 	// DefaultTimeout, negative means no limit.
@@ -72,10 +70,7 @@ type Options struct {
 	// result comes from the backend — cmd/figuresd -peers wires a
 	// shard coordinator in here so one daemon fronts a fleet. A
 	// backend owns its own caching; Options.Cache is not consulted
-	// around it. Prefix-slice requests (?prefixes=) never go through
-	// the backend: a slice is this worker's own share of a space
-	// someone upstream already carved, so re-delegating it would
-	// bounce work around the fleet instead of doing it.
+	// around it.
 	Backend func(ctx context.Context, id string) (experiments.Result, error)
 	// ParamBackend, when non-nil, replaces in-process evaluation of
 	// parameterized points (GET /experiments/{family}?k=...) the way
@@ -84,13 +79,6 @@ type Options struct {
 	// across the fleet too. Default-point requests never reach it —
 	// they alias the fixed experiment and follow Backend.
 	ParamBackend func(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error)
-	// Shardables maps prefix-shardable experiment ids to their
-	// partial-run seams, enabling GET /experiments/{id}?prefixes=...
-	// (one slice of one experiment's exploration space). nil means the
-	// default experiments.Shardables() when Registry is nil, and none
-	// otherwise — an override's ids are not the real experiments, so
-	// it opts in explicitly.
-	Shardables map[string]experiments.Shardable
 	// Families maps experiment ids to their parameterized spaces,
 	// enabling GET /experiments/{family}?param=... nil means
 	// experiments.FamiliesFor(Registry) — the real families when the
@@ -111,9 +99,6 @@ type Options struct {
 //
 //	GET /experiments                         the experiment index (JSON)
 //	GET /experiments/{id}?format=text|json|csv   one experiment's table
-//	GET /experiments/{id}?prefixes=...       one slice of a shardable
-//	                                         experiment's space (JSON
-//	                                         shard envelope)
 //	GET /healthz                             liveness probe
 //	GET /stats                               operational counters (JSON)
 type Server struct {
@@ -123,9 +108,7 @@ type Server struct {
 	timeout      time.Duration
 	backend      func(ctx context.Context, id string) (experiments.Result, error)
 	paramBackend func(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error)
-	shardables   map[string]experiments.Shardable
 	families     map[string]experiments.Family
-	exploreSem   chan struct{}
 	journal      *trace.Journal
 	logf         func(format string, args ...any)
 	flights      flightGroup
@@ -168,10 +151,6 @@ func New(opts Options) *Server {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	shardables := opts.Shardables
-	if shardables == nil {
-		shardables = experiments.ShardablesFor(opts.Registry)
-	}
 	families := opts.Families
 	if families == nil {
 		families = experiments.FamiliesFor(opts.Registry)
@@ -187,9 +166,7 @@ func New(opts Options) *Server {
 		timeout:      timeout,
 		backend:      opts.Backend,
 		paramBackend: opts.ParamBackend,
-		shardables:   shardables,
 		families:     families,
-		exploreSem:   make(chan struct{}, sliceExploreSlots),
 		journal:      journal,
 		logf:         logf,
 		mux:          http.NewServeMux(),
@@ -198,7 +175,6 @@ func New(opts Options) *Server {
 		endpointLat: map[string]*hist.Histogram{
 			EndpointExperiment: hist.New(),
 			EndpointParam:      hist.New(),
-			EndpointSlice:      hist.New(),
 		},
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -312,14 +288,14 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	// Every query key that is not serving machinery (format, prefixes)
-	// is a parameter of the experiment's family. Parsing validates and
-	// canonicalizes the point; a spelled-out default point comes back
-	// with Canonical "" and follows the fixed experiment's path — one
-	// cache entry, one singleflight — no matter how it was spelled.
+	// Every query key but format is a parameter of the experiment's
+	// family. Parsing validates and canonicalizes the point (an unknown
+	// key is a 400); a spelled-out default point comes back with
+	// Canonical "" and follows the fixed experiment's path — one cache
+	// entry, one singleflight — no matter how it was spelled.
 	paramQuery := url.Values{}
 	for name, vals := range q {
-		if name == "format" || name == "prefixes" {
+		if name == "format" {
 			continue
 		}
 		paramQuery[name] = vals
@@ -337,10 +313,6 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-	}
-	if prefixes := q.Get("prefixes"); prefixes != "" {
-		s.handlePrefixes(w, r, id, ps, prefixes, start)
-		return
 	}
 	format := q.Get("format")
 	if format == "" {
@@ -411,196 +383,6 @@ func (s *Server) traceDone(reqID string, status int, start time.Time) {
 		Detail: fmt.Sprintf("status %d in %v", status, time.Since(start).Round(time.Microsecond))})
 }
 
-// sliceOutcome is the singleflight value of one slice request: the
-// wire envelope, and whether it came from the artifact store.
-type sliceOutcome struct {
-	env    experiments.ShardEnvelope
-	cached bool
-}
-
-// handlePrefixes serves one slice of a shardable experiment's
-// exploration space: GET /experiments/{id}?prefixes=... parses the
-// forced-prefix ranges, explores exactly those subtrees, and responds
-// with the JSON shard envelope (experiments.EncodeShard). When the
-// cache is an artifact store (experiments.SliceCache), the store is
-// consulted first and populated after — repeated sharded runs of the
-// same space hit disk instead of re-exploring, the worker-level half
-// of the fleet's read-through cache hierarchy. Identical slice
-// requests share one execution through the singleflight group (keyed
-// by the canonical prefix rendering, so equivalent spellings share
-// too), and a timed-out slice starts the same cooldown as a timed-out
-// experiment: a coordinator retry (and any future run of the same
-// experiment) re-sends the byte-identical prefixes string, and
-// without the cooldown each retry would stack another abandoned
-// full-width explorer pool on the worker.
-func (s *Server) handlePrefixes(w http.ResponseWriter, r *http.Request, id string, ps experiments.ParamSet, prefixes string, start time.Time) {
-	if format := r.URL.Query().Get("format"); format != "" && format != "json" {
-		http.Error(w, fmt.Sprintf("prefix slices are JSON only, not %q", format), http.StatusBadRequest)
-		return
-	}
-	// At the default point the registered shardable serves (identical
-	// bytes, shared cache entries); a non-default point carves its
-	// family's space at that point.
-	params := ps.Canonical()
-	var sh experiments.Shardable
-	if params == "" {
-		var ok bool
-		sh, ok = s.shardables[id]
-		if !ok {
-			http.Error(w, fmt.Sprintf("experiment %q is not prefix-shardable", id), http.StatusBadRequest)
-			return
-		}
-	} else {
-		fam := s.families[id] // present: handleExperiment parsed ps from it
-		if fam.Shardable == nil {
-			http.Error(w, fmt.Sprintf("experiment %q is not prefix-shardable", id), http.StatusBadRequest)
-			return
-		}
-		sh = fam.Shardable(ps)
-	}
-	roots, err := experiments.ParsePrefixes(prefixes)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	canonical := experiments.FormatPrefixes(roots)
-	reqID := s.requestID(w, r)
-
-	s.requests.Add(1)
-	s.inFlight.Add(1)
-	key := id + "\x00" + params + "\x00" + canonical
-	var val any
-	var shared bool
-	if res, cooling := s.coolingDown(key); cooling {
-		err, shared = res.Err, true
-	} else {
-		val, err, shared = s.flights.Do(key, func() (any, error) {
-			return s.sliceEnvelope(reqID, sh, id, params, canonical, roots)
-		})
-		if err != nil && !shared && errors.Is(err, context.DeadlineExceeded) {
-			s.startCooldown(key, experiments.Result{Err: err})
-		}
-	}
-	s.inFlight.Add(-1)
-	s.record(EndpointSlice, id, time.Since(start), err != nil)
-	if shared {
-		s.journal.Add(reqID, trace.Event{Kind: trace.KindCoalesce, Range: canonical,
-			Detail: "joined an in-flight execution or cooldown window"})
-	}
-	if err != nil {
-		// A prefix the scheduler cannot follow is the client's
-		// mistake, not the server's: ParsePrefixes can only check
-		// syntax and overlap, liveness is known after the replay.
-		status := http.StatusInternalServerError
-		if errors.Is(err, sched.ErrPrefixNotLive) {
-			status = http.StatusBadRequest
-		}
-		s.traceDone(reqID, status, start)
-		http.Error(w, err.Error(), status)
-		return
-	}
-	out := val.(sliceOutcome)
-
-	var body bytes.Buffer
-	if err := experiments.EncodeShardEnvelope(&body, out.env); err != nil {
-		s.traceDone(reqID, http.StatusInternalServerError, start)
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	s.traceDone(reqID, http.StatusOK, start)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(RegistryVersionHeader, experiments.RegistryVersion)
-	w.Write(body.Bytes())
-	s.logf("figuresd: GET %s prefixes=%s roots=%d cached=%v shared=%v trace=%s in %v",
-		r.URL.Path, canonical, len(roots), out.cached, shared, reqID, time.Since(start).Round(time.Millisecond))
-}
-
-// sliceEnvelope produces one slice's wire envelope: from the artifact
-// store when a trustworthy entry exists, by exploring otherwise (and
-// storing the fresh envelope back, best-effort). A stored envelope
-// whose aggregate the experiment's own Decode rejects is treated as a
-// miss and overwritten by the recomputation — the payload checksum
-// guards the bytes, Decode guards the semantics. Each decision lands
-// in the journal under reqID — the leader request's ID, since the
-// singleflight runs this once per flight.
-func (s *Server) sliceEnvelope(reqID string, sh experiments.Shardable, id, params, canonical string, roots [][]int) (sliceOutcome, error) {
-	store, _ := s.cache.(experiments.SliceCache)
-	if store != nil {
-		if env, ok := store.GetSlice(id, params, canonical); ok {
-			if _, err := sh.Decode(env.Aggregate); err == nil {
-				s.journal.Add(reqID, trace.Event{Kind: trace.KindSliceCacheHit, Range: canonical})
-				return sliceOutcome{env: env, cached: true}, nil
-			}
-		}
-		s.journal.Add(reqID, trace.Event{Kind: trace.KindSliceCacheMiss, Range: canonical})
-	}
-	exploreStart := time.Now()
-	agg, err := s.exploreSlice(sh, roots)
-	if err != nil {
-		return sliceOutcome{}, err
-	}
-	s.journal.Add(reqID, trace.Event{Kind: trace.KindExplore, Range: canonical,
-		Detail: fmt.Sprintf("explored in %v", time.Since(exploreStart).Round(time.Microsecond))})
-	env, err := experiments.NewShardEnvelope(id, params, roots, agg)
-	if err != nil {
-		return sliceOutcome{}, err
-	}
-	if store != nil {
-		if err := store.PutSlice(env); err == nil { // best-effort, like the engine's Put
-			s.journal.Add(reqID, trace.Event{Kind: trace.KindSliceCacheStore, Range: canonical})
-		}
-	}
-	return sliceOutcome{env: env}, nil
-}
-
-// sliceExploreSlots bounds concurrent slice explorations per server.
-// Each Explore fans out across every core, so unbounded concurrent
-// slices would stack full-width explorer pools; two slots match the
-// coordinator's ~two-ranges-per-worker carve (its normal load runs
-// uncontended), and anything beyond queues into the timeout window —
-// backpressure the coordinator answers by failing over to a
-// less-loaded worker.
-const sliceExploreSlots = 2
-
-// exploreSlice runs one Shardable.Explore under the per-execution
-// timeout, holding one of the server's exploration slots (queue time
-// counts toward the timeout). Like the engine's runners, an
-// exploration takes no context: on timeout its goroutine is abandoned
-// until it returns.
-func (s *Server) exploreSlice(sh experiments.Shardable, roots [][]int) (experiments.Aggregate, error) {
-	type outcome struct {
-		agg experiments.Aggregate
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if rec := recover(); rec != nil {
-				ch <- outcome{err: fmt.Errorf("slice exploration panicked: %v", rec)}
-			}
-		}()
-		s.exploreSem <- struct{}{}
-		defer func() { <-s.exploreSem }()
-		agg, err := sh.Explore(roots)
-		if err == nil && agg == nil {
-			err = fmt.Errorf("slice exploration returned no aggregate")
-		}
-		ch <- outcome{agg: agg, err: err}
-	}()
-	var timer <-chan time.Time
-	if s.timeout > 0 {
-		t := time.NewTimer(s.timeout)
-		defer t.Stop()
-		timer = t.C
-	}
-	select {
-	case o := <-ch:
-		return o.agg, o.err
-	case <-timer:
-		return nil, fmt.Errorf("slice timed out after %v: %w", s.timeout, context.DeadlineExceeded)
-	}
-}
-
 // execute runs one experiment through the singleflight group. The
 // execution uses a context detached from any request so that the
 // result every waiter shares cannot be cancelled by whichever client
@@ -668,8 +450,8 @@ func (s *Server) execute(reqID, id string) (experiments.Result, bool, error) {
 // cooldown contract as execute. The flight and cooldown key is the
 // family id plus the point's canonical rendering, so every spelling of
 // a point shares one execution — and never collides with the fixed
-// experiment's key or a slice's (the literal "params" segment cannot
-// appear in either).
+// experiment's key (the literal "params" segment cannot appear in an
+// id).
 func (s *Server) executeParam(reqID, id string, ps experiments.ParamSet) (experiments.Result, bool, error) {
 	key := id + "\x00params\x00" + ps.Canonical()
 	if res, ok := s.coolingDown(key); ok {
@@ -714,8 +496,8 @@ type cooldownEntry struct {
 	res   experiments.Result
 }
 
-// coolingDown reports whether key — an experiment id, or a slice's
-// id+prefixes flight key — recently timed out, returning the recorded
+// coolingDown reports whether key — an experiment id, or a parameter
+// point's flight key — recently timed out, returning the recorded
 // failure to serve instead of executing again.
 func (s *Server) coolingDown(id string) (experiments.Result, bool) {
 	s.mu.Lock()

@@ -25,9 +25,6 @@ const (
 	// spelled, counts under EndpointExperiment — it is the fixed
 	// experiment).
 	EndpointParam = "param"
-	// EndpointSlice is a prefix-slice fetch:
-	// GET /experiments/{id}?prefixes=...
-	EndpointSlice = "slice"
 )
 
 // StatsResponse is the GET /stats body: one process's operational
@@ -54,7 +51,7 @@ type StatsResponse struct {
 	// an experiment never requested has no entry.
 	Experiments map[string]StatsExperiment `json:"experiments"`
 	// Endpoints holds per-endpoint latency histograms
-	// (EndpointExperiment, EndpointSlice), keyed by endpoint label; an
+	// (EndpointExperiment, EndpointParam), keyed by endpoint label; an
 	// endpoint never hit has no entry. Quantiles follow internal/hist's
 	// contract: bucket upper bounds, overshooting the true value by at
 	// most hist.Growth (≈18.9%).
@@ -78,19 +75,13 @@ type StatsExploration struct {
 	StatesPruned  int64 `json:"states_pruned"`
 }
 
-// StatsCache mirrors cache.Stats on the wire. The slice_* counters
-// track the artifact store's prefix-slice traffic (the worker-level
-// half of the fleet cache hierarchy); they stay zero on stores that
-// only ever see whole results.
+// StatsCache mirrors cache.Stats on the wire.
 type StatsCache struct {
-	Hits        int64   `json:"hits"`
-	Misses      int64   `json:"misses"`
-	SliceHits   int64   `json:"slice_hits"`
-	SliceMisses int64   `json:"slice_misses"`
-	SliceStores int64   `json:"slice_stores"`
-	Corrupt     int64   `json:"corrupt"`
-	Evicted     int64   `json:"evicted"`
-	HitRate     float64 `json:"hit_rate"`
+	Hits    int64   `json:"hits"`
+	Misses  int64   `json:"misses"`
+	Corrupt int64   `json:"corrupt"`
+	Evicted int64   `json:"evicted"`
+	HitRate float64 `json:"hit_rate"`
 }
 
 // StatsExperiment is one experiment's request-latency record. Times
@@ -227,14 +218,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if cs, ok := s.cache.(interface{ Stats() cache.Stats }); ok {
 		st := cs.Stats()
 		resp.Cache = &StatsCache{
-			Hits:        st.Hits,
-			Misses:      st.Misses,
-			SliceHits:   st.SliceHits,
-			SliceMisses: st.SliceMisses,
-			SliceStores: st.SliceStores,
-			Corrupt:     st.Corrupt,
-			Evicted:     st.Evicted,
-			HitRate:     st.HitRate(),
+			Hits:    st.Hits,
+			Misses:  st.Misses,
+			Corrupt: st.Corrupt,
+			Evicted: st.Evicted,
+			HitRate: st.HitRate(),
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -109,7 +109,7 @@ func TestStatsCountersAndCache(t *testing.T) {
 	if len(e1.Histogram.Buckets) == 0 {
 		t.Errorf("histogram has no buckets: %+v", e1.Histogram)
 	}
-	// The whole-experiment endpoint saw both requests; the slice
+	// The whole-experiment endpoint saw both requests; the param
 	// endpoint saw none and is omitted rather than reported empty.
 	ep, ok := st.Endpoints[EndpointExperiment]
 	if !ok {
@@ -118,8 +118,8 @@ func TestStatsCountersAndCache(t *testing.T) {
 	if ep.Count != 2 || ep.P50Millis <= 0 || ep.P95Millis <= 0 || ep.P99Millis <= 0 {
 		t.Errorf("experiment endpoint = %+v, want count 2 and positive quantiles", ep)
 	}
-	if _, ok := st.Endpoints[EndpointSlice]; ok {
-		t.Errorf("slice endpoint reported without slice traffic: %+v", st.Endpoints)
+	if _, ok := st.Endpoints[EndpointParam]; ok {
+		t.Errorf("param endpoint reported without param traffic: %+v", st.Endpoints)
 	}
 }
 

@@ -16,35 +16,9 @@ import (
 
 // paramFixture builds one synthetic parameterized family (integer
 // parameter x, default 1) plus its fixed-point registry entry and an
-// execution counter. With shardable set, every point of the family
-// prefix-shards over the synthetic 8-root partition, with x folded
-// into the aggregate so distinct points render distinct tables.
-func paramFixture(id string, shardable bool) (map[string]experiments.Runner, map[string]experiments.Family, *atomic.Int64) {
+// execution counter.
+func paramFixture(id string) (map[string]experiments.Runner, map[string]experiments.Family, *atomic.Int64) {
 	execs := new(atomic.Int64)
-	shAt := func(x int) experiments.Shardable {
-		sh, _ := newTestShardable(id)
-		inner := sh.Explore
-		sh.Explore = func(roots [][]int) (experiments.Aggregate, error) {
-			execs.Add(1)
-			agg, err := inner(roots)
-			if err != nil {
-				return nil, err
-			}
-			a := agg.(*sliceAgg)
-			a.Sum += x * len(roots)
-			return a, nil
-		}
-		finish := sh.Finish
-		sh.Finish = func(agg experiments.Aggregate) (*experiments.Table, error) {
-			tab, err := finish(agg)
-			if err != nil {
-				return nil, err
-			}
-			tab.Title = fmt.Sprintf("%s at x=%d", tab.Title, x)
-			return tab, nil
-		}
-		return sh
-	}
 	fam := experiments.Family{
 		ID:  id,
 		Doc: "synthetic parameterized family",
@@ -53,9 +27,6 @@ func paramFixture(id string, shardable bool) (map[string]experiments.Runner, map
 		},
 		Run: func(ps experiments.ParamSet) (*experiments.Table, error) {
 			x := ps.Int("x")
-			if shardable {
-				return shardableRunner(shAt(x))()
-			}
 			execs.Add(1)
 			return &experiments.Table{
 				ID:      id,
@@ -64,11 +35,6 @@ func paramFixture(id string, shardable bool) (map[string]experiments.Runner, map
 				Rows:    [][]string{{fmt.Sprint(x)}},
 			}, nil
 		},
-	}
-	if shardable {
-		fam.Shardable = func(ps experiments.ParamSet) experiments.Shardable {
-			return shAt(ps.Int("x"))
-		}
 	}
 	defaults, err := experiments.DefaultParams(fam)
 	if err != nil {
@@ -82,9 +48,9 @@ func paramFixture(id string, shardable bool) (map[string]experiments.Runner, map
 
 // newParamWorker stands up a worker serving the synthetic family's
 // points (and its fixed default).
-func newParamWorker(t *testing.T, id string, shardable bool) (addr string, execs *atomic.Int64) {
+func newParamWorker(t *testing.T, id string) (addr string, execs *atomic.Int64) {
 	t.Helper()
-	reg, fams, execs := paramFixture(id, shardable)
+	reg, fams, execs := paramFixture(id)
 	ts := httptest.NewServer(server.New(server.Options{Registry: reg, Families: fams}))
 	t.Cleanup(ts.Close)
 	return ts.URL, execs
@@ -105,8 +71,8 @@ func paramPoint(t *testing.T, fams map[string]experiments.Family, id, list strin
 // counters, no family machinery.
 func TestRunParamDefaultPointAliasesFixed(t *testing.T) {
 	const id = "E1"
-	w, fleetExecs := newParamWorker(t, id, false)
-	localReg, localFams, localExecs := paramFixture(id, false)
+	w, fleetExecs := newParamWorker(t, id)
+	localReg, localFams, localExecs := paramFixture(id)
 	coord, err := New(Options{
 		Workers:  []string{w},
 		Families: localFams,
@@ -134,17 +100,17 @@ func TestRunParamDefaultPointAliasesFixed(t *testing.T) {
 }
 
 // TestRunParamWholeFetchAndFrontCache: a non-default point of a
-// non-shardable family is fetched whole from a worker, stored in the
+// family is fetched whole from a worker, stored in the
 // coordinator's front cache under id+params, and served from there on
 // the second call without touching the fleet.
 func TestRunParamWholeFetchAndFrontCache(t *testing.T) {
 	const id = "E1"
-	w, fleetExecs := newParamWorker(t, id, false)
+	w, fleetExecs := newParamWorker(t, id)
 	store, err := cache.Open(t.TempDir(), cache.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	localReg, localFams, localExecs := paramFixture(id, false)
+	localReg, localFams, localExecs := paramFixture(id)
 	coord, err := New(Options{
 		Workers:  []string{w},
 		Families: localFams,
@@ -187,7 +153,7 @@ func TestRunParamWholeFetchAndFrontCache(t *testing.T) {
 // degrades to local evaluation exactly like a fixed experiment.
 func TestRunParamDeadFleetRunsLocally(t *testing.T) {
 	const id = "E1"
-	localReg, localFams, localExecs := paramFixture(id, false)
+	localReg, localFams, localExecs := paramFixture(id)
 	coord, err := New(Options{
 		Workers:  []string{"http://" + deadAddr(t)},
 		Families: localFams,
@@ -224,7 +190,7 @@ func TestRunParamUnknownFamily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, fams, _ := paramFixture("E1", false)
+	_, fams, _ := paramFixture("E1")
 	ps := paramPoint(t, fams, "E1", "x=2")
 	if _, err := coord.RunParam(context.Background(), "E1", ps); err == nil ||
 		!strings.Contains(err.Error(), "no parameter family") {
@@ -232,14 +198,14 @@ func TestRunParamUnknownFamily(t *testing.T) {
 	}
 }
 
-// TestRunParamPrefixShardedByteIdentical: a non-default point of a
-// shardable family carves across two workers at that point and merges
-// to the bytes a local evaluation of the same point produces.
-func TestRunParamPrefixShardedByteIdentical(t *testing.T) {
+// TestRunParamWholeByteIdentical: a non-default point fetched whole
+// from a two-worker fleet re-encodes to the bytes a local evaluation
+// of the same point produces, with nothing run locally.
+func TestRunParamWholeByteIdentical(t *testing.T) {
 	const id = "E2"
-	w1, execs1 := newParamWorker(t, id, true)
-	w2, execs2 := newParamWorker(t, id, true)
-	localReg, localFams, localExecs := paramFixture(id, true)
+	w1, execs1 := newParamWorker(t, id)
+	w2, execs2 := newParamWorker(t, id)
+	localReg, localFams, localExecs := paramFixture(id)
 	coord, err := New(Options{
 		Workers:  []string{w1, w2},
 		Families: localFams,
@@ -256,8 +222,7 @@ func TestRunParamPrefixShardedByteIdentical(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	baselineReg, baselineFams, _ := paramFixture(id, true)
-	_ = baselineReg
+	_, baselineFams, _ := paramFixture(id)
 	want, err := baselineFams[id].Run(paramPoint(t, baselineFams, id, "x=5"))
 	if err != nil {
 		t.Fatal(err)
@@ -265,15 +230,15 @@ func TestRunParamPrefixShardedByteIdentical(t *testing.T) {
 	got := encodeAll(t, []experiments.Result{res})
 	wantBytes := encodeAll(t, []experiments.Result{{ID: id, Table: want}})
 	if !bytes.Equal(got, wantBytes) {
-		t.Errorf("sharded point differs from local point:\n%s\nvs\n%s", got, wantBytes)
+		t.Errorf("fleet point differs from local point:\n%s\nvs\n%s", got, wantBytes)
 	}
 	if n := localExecs.Load(); n != 0 {
-		t.Errorf("%d local explorations with a healthy fleet", n)
+		t.Errorf("%d local evaluations with a healthy fleet", n)
 	}
-	if execs1.Load()+execs2.Load() == 0 {
-		t.Error("no worker explored any slice of the point")
+	if n := execs1.Load() + execs2.Load(); n != 1 {
+		t.Errorf("fleet evaluated the point %d times, want once", n)
 	}
-	if st := coord.Stats(); st.PrefixSharded != 1 || st.PrefixRangesLocal != 0 {
-		t.Errorf("stats = %+v, want a fully remote prefix-sharded run", st)
+	if st := coord.Stats(); st.Remote != 1 || st.Local != 0 {
+		t.Errorf("stats = %+v, want one remote fetch", st)
 	}
 }

@@ -39,24 +39,18 @@
 // finally re-runs locally, producing the same failed Result (and the
 // same encoded bytes) a local run would have.
 //
-// Prefix-shardable experiments (experiments.Shardables) go further:
-// instead of fetching the whole experiment from one worker, the
-// coordinator carves the experiment's own exploration space into
-// disjoint schedule-prefix ranges (sched.PartitionRoots), fans the
-// ranges out with GET /experiments/{id}?prefixes=..., and merges the
-// order-insensitive aggregates — so the fleet splits a single
-// theorem-scale space and still emits byte-identical tables. Ranges
-// inherit the failover rules above; a range whose attempts exhaust
-// the fleet is explored locally, reassigned but never dropped.
+// The unit of distribution is the whole experiment (or one parameter
+// point of a family, RunParam): every memoized exploration space
+// explores locally in milliseconds, far below the cost of the HTTP
+// hop, so the fleet spreads experiments across workers rather than
+// splitting any one of them.
 //
-// With an artifact store (experiments.SliceCache) as Options.Local.
-// Cache, the coordinator is the top of a read-through cache
-// hierarchy: the whole result is consulted before carving, every
-// range is consulted before dispatch and stored back after it is
-// fetched or explored, and the merged whole is stored last — so a
-// repeated sharded run of the same space executes zero explorations
-// fleet-wide, and a partially warm store re-explores only the ranges
-// it is missing.
+// With Options.Local.Cache set, the coordinator is a read-through
+// front cache: every experiment (and, when the store is an
+// experiments.ParamCache, every parameter point) is consulted there
+// before dispatch and stored back after a successful fetch — so a
+// repeated run of the same ids executes nothing fleet-wide. Fixed
+// experiments and parameter points take the one path, runOne.
 package shard
 
 import (
@@ -135,25 +129,16 @@ type Options struct {
 	// concurrently). IDs is ignored — the coordinator fills it per
 	// experiment.
 	Local experiments.Options
-	// Shardables maps prefix-shardable experiment ids to their
-	// partial-run seams: with at least two selectable workers, these
-	// experiments are carved into prefix ranges and split across the
-	// fleet instead of fetched whole. nil means the default
-	// experiments.Shardables() when Local.Registry is nil, and none
-	// otherwise — an override's ids are not the real experiments, so
-	// it opts in explicitly. An explicit empty map disables prefix
-	// sharding.
-	Shardables map[string]experiments.Shardable
 	// Families maps experiment ids to their parameterized spaces,
 	// enabling RunParam — parameterized points fanned out with the same
-	// carve, failover, and fallback rules as fixed experiments. nil
+	// failover and fallback rules as fixed experiments. nil
 	// means experiments.FamiliesFor(Local.Registry): the real families
 	// when the registry is the real one, none under an override unless
 	// it opts in here.
 	Families map[string]experiments.Family
 	// Journal, when non-nil, records every load-bearing decision —
-	// carve, worker selection, fetch, retry, eviction, revival,
-	// registry rejection, cache outcome, local fallback — as span
+	// worker selection, fetch, retry, eviction, revival, registry
+	// rejection, cache outcome, local fallback — as span
 	// events under the request's trace ID (trace.IDFrom on the run
 	// context; minted here when the coordinator is the edge). The same
 	// ID travels to every worker in the Repro-Request-ID header, so
@@ -175,29 +160,17 @@ type Stats struct {
 	// WorkersTotal and WorkersHealthy describe the fleet now — a
 	// worker that died mid-batch has already left WorkersHealthy.
 	WorkersTotal, WorkersHealthy int
-	// Remote counts experiments served whole by the fleet, Local those
-	// that fell back whole to the in-process engine. Prefix-sharded
-	// experiments are counted by PrefixSharded instead.
+	// Remote counts experiments served by the fleet, Local those that
+	// fell back to the in-process engine.
 	Remote, Local int64
-	// Failovers counts failed attempts — whole experiments or prefix
-	// ranges — that moved work to another worker (or, when none
-	// remained, to the local fallback).
+	// Failovers counts failed attempts that moved an experiment to
+	// another worker (or, when none remained, to the local fallback).
 	Failovers int64
-	// PrefixSharded counts experiments whose exploration space was
-	// split across the fleet as prefix ranges.
-	PrefixSharded int64
-	// PrefixRangesRemote and PrefixRangesLocal count the ranges of
-	// prefix-sharded experiments served by workers and explored
-	// locally (fleet exhausted for that range).
+	// PrefixRangesRemote and PrefixRangesLocal always read 0: the
+	// coordinator no longer splits an experiment into prefix ranges.
+	// They are kept only because the benchmark harness (perfbench)
+	// reads them.
 	PrefixRangesRemote, PrefixRangesLocal int64
-	// PrefixRangesCached counts the ranges served straight from the
-	// coordinator's own artifact store without touching the fleet —
-	// the read-through half of the cache hierarchy.
-	PrefixRangesCached int64
-	// RangesReassigned counts prefix-range attempts that failed on one
-	// worker and were reassigned — the "never dropped" half of the
-	// failover contract.
-	RangesReassigned int64
 	// Workers holds one per-worker record, in configuration order —
 	// the coordinator-side fetch-latency distributions that separate a
 	// slow worker from a slow fleet.
@@ -205,8 +178,8 @@ type Stats struct {
 }
 
 // WorkerStats is one worker's coordinator-side record: every attempt
-// through the shared fetch path (whole experiments and prefix slices
-// alike, failures included) lands in the latency histogram, so a
+// through the shared fetch path (fixed experiments and parameter
+// points alike, failures included) lands in the latency histogram, so a
 // worker that fails fast looks exactly as suspicious as it is.
 type WorkerStats struct {
 	Addr    string
@@ -269,24 +242,15 @@ type Coordinator struct {
 	reviveAfter time.Duration
 	local       experiments.Options
 	localSem    chan struct{}
-	exploreSem  chan struct{}
-	shardables  map[string]experiments.Shardable
 	families    map[string]experiments.Family
-	sliceCache  experiments.SliceCache
-	paramCache  experiments.ParamCache
 	journal     *trace.Journal
 	now         func() time.Time
 	logf        func(format string, args ...any)
 
-	pickMu           sync.Mutex
-	remote           atomic.Int64
-	localRuns        atomic.Int64
-	failovers        atomic.Int64
-	prefixSharded    atomic.Int64
-	prefixRemote     atomic.Int64
-	prefixLocal      atomic.Int64
-	prefixCached     atomic.Int64
-	rangesReassigned atomic.Int64
+	pickMu    sync.Mutex
+	remote    atomic.Int64
+	localRuns atomic.Int64
+	failovers atomic.Int64
 }
 
 // defaultClient builds the coordinator's HTTP client when Options
@@ -294,7 +258,7 @@ type Coordinator struct {
 // settings, with the per-host idle pool widened to the per-worker
 // in-flight cap. The stock DefaultTransport keeps only 2 idle
 // connections per host, so a coordinator pushing maxInFlight
-// concurrent range fetches at one worker would close and re-dial the
+// concurrent fetches at one worker would close and re-dial the
 // rest of the burst on every wave; sizing the pool to the cap lets
 // the whole burst reuse warm connections.
 func defaultClient(maxInFlight int) *http.Client {
@@ -347,10 +311,6 @@ func New(opts Options) (*Coordinator, error) {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	shardables := opts.Shardables
-	if shardables == nil {
-		shardables = experiments.ShardablesFor(opts.Local.Registry)
-	}
 	families := opts.Families
 	if families == nil {
 		families = experiments.FamiliesFor(opts.Local.Registry)
@@ -359,12 +319,6 @@ func New(opts Options) (*Coordinator, error) {
 	if now == nil {
 		now = time.Now
 	}
-	// A Local.Cache that is an artifact store makes every range
-	// read-through: consulted before dispatch, populated after. A
-	// parameter-aware store additionally fronts RunParam's whole
-	// results; a plain cache degrades non-default points to cold.
-	sliceCache, _ := opts.Local.Cache.(experiments.SliceCache)
-	paramCache, _ := opts.Local.Cache.(experiments.ParamCache)
 	c := &Coordinator{
 		client:      client,
 		reqTimeout:  reqTimeout,
@@ -372,11 +326,7 @@ func New(opts Options) (*Coordinator, error) {
 		reviveAfter: reviveAfter,
 		local:       opts.Local,
 		localSem:    make(chan struct{}, jobs),
-		exploreSem:  make(chan struct{}, 1),
-		shardables:  shardables,
 		families:    families,
-		sliceCache:  sliceCache,
-		paramCache:  paramCache,
 		journal:     opts.Journal,
 		now:         now,
 		logf:        logf,
@@ -534,7 +484,7 @@ func (c *Coordinator) Run(ctx context.Context, ids []string) ([]experiments.Resu
 		wg.Add(1)
 		go func(i int, id string) {
 			defer wg.Done()
-			results[i], errs[i] = c.runOne(ctx, id)
+			results[i], errs[i] = c.RunOne(ctx, id)
 		}(i, id)
 	}
 	wg.Wait()
@@ -550,19 +500,36 @@ func (c *Coordinator) Run(ctx context.Context, ids []string) ([]experiments.Resu
 // failover and fallback rules as Run. It is the execution backend
 // cmd/figuresd -peers plugs into internal/server.
 func (c *Coordinator) RunOne(ctx context.Context, id string) (experiments.Result, error) {
-	return c.runOne(ctx, id)
+	return c.runOne(ctx, id, experiments.ParamSet{}, experiments.Family{})
 }
 
-// runOne executes one experiment: prefix-sharded across the fleet
-// when the experiment is shardable and enough workers can take a
-// range, otherwise fetched whole with per-worker failover, finally
-// falling back to the local engine. The coordinator's own cache is
-// consulted before carving — a warm whole result must stay a
-// microsecond hit, not become a fleet-wide recompute — and a sharded
-// success is stored back; below that, runRange does the same
-// read-through per prefix range against the artifact store, so a
-// cold whole result over warm slices still executes nothing.
-func (c *Coordinator) runOne(ctx context.Context, id string) (experiments.Result, error) {
+// RunParam executes one parameterized point of an experiment family
+// through the fleet exactly like a fixed experiment: the default point
+// aliases the fixed experiment (same cache entries), any other point is
+// its own cache entry and its own fetch. It is the execution backend
+// cmd/figuresd -peers plugs into internal/server's ParamBackend.
+func (c *Coordinator) RunParam(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error) {
+	if ps.Canonical() == "" {
+		return c.RunOne(ctx, id)
+	}
+	fam, ok := c.families[id]
+	if !ok {
+		return experiments.Result{}, fmt.Errorf("shard: experiment %q has no parameter family", id)
+	}
+	return c.runOne(ctx, id, ps, fam)
+}
+
+// runOne executes one experiment — its fixed point when ps is the zero
+// ParamSet, otherwise point ps of fam: from the coordinator's own
+// cache when it holds the result, otherwise fetched whole from up to
+// c.retries distinct workers, least-loaded first, and finally run
+// locally.
+func (c *Coordinator) runOne(ctx context.Context, id string, ps experiments.ParamSet, fam experiments.Family) (experiments.Result, error) {
+	params := ps.Canonical()
+	what := id
+	if params != "" {
+		what = ps.String()
+	}
 	// The trace ID arrives on the context when an upstream edge (the
 	// serving layer) minted it; when the coordinator is itself the edge
 	// (a CLI run), it mints one so the fleet's journals still agree on
@@ -572,13 +539,11 @@ func (c *Coordinator) runOne(ctx context.Context, id string) (experiments.Result
 		reqID = trace.NewID()
 		ctx = trace.WithID(ctx, reqID)
 	}
-	c.journal.Start(reqID, "run "+id)
-	// Front-cache read-through applies to every experiment, not just
-	// the shardable ones: a warm front cache must absorb whole fetches
-	// too, or one family's cold start would drag warm families back to
-	// the fleet (the registry-wide cold-start failure mode).
-	if cache := c.local.Cache; cache != nil {
-		if res, ok := cache.Get(id); ok && res.Err == nil && res.Table != nil {
+	c.journal.Start(reqID, "run "+what)
+	// A warm front cache absorbs every fetch, so one family's cold
+	// start never drags warm families back to the fleet.
+	if c.local.Cache != nil {
+		if res, ok := experiments.CacheGet(c.local.Cache, id, params); ok && res.Err == nil && res.Table != nil {
 			res.ID = id
 			res.Cached = true
 			c.journal.Add(reqID, trace.Event{Kind: trace.KindCacheHit, Detail: "coordinator front cache"})
@@ -586,67 +551,6 @@ func (c *Coordinator) runOne(ctx context.Context, id string) (experiments.Result
 		}
 		c.journal.Add(reqID, trace.Event{Kind: trace.KindCacheMiss, Detail: "coordinator front cache"})
 	}
-	if sh, ok := c.shardables[id]; ok {
-		if res, done := c.runPrefixSharded(ctx, id, experiments.ParamSet{}, sh); done {
-			if c.local.Cache != nil && res.Err == nil {
-				c.local.Cache.Put(id, res) // best-effort, like the engine
-			}
-			return res, nil
-		}
-	}
-	return c.runWhole(ctx, id)
-}
-
-// RunParam executes one parameterized point of an experiment family
-// through the fleet: the default point aliases the fixed experiment
-// (same cache entries, same carve), a non-default point is
-// prefix-sharded at that point when the family shards and enough
-// workers can take a range, fetched whole with failover otherwise, and
-// finally evaluated locally — a parameterized run degrades exactly
-// like a fixed one. It is the execution backend cmd/figuresd -peers
-// plugs into internal/server's ParamBackend.
-func (c *Coordinator) RunParam(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error) {
-	params := ps.Canonical()
-	if params == "" {
-		return c.runOne(ctx, id)
-	}
-	fam, ok := c.families[id]
-	if !ok {
-		return experiments.Result{}, fmt.Errorf("shard: experiment %q has no parameter family", id)
-	}
-	reqID := trace.IDFrom(ctx)
-	if reqID == "" && c.journal != nil {
-		reqID = trace.NewID()
-		ctx = trace.WithID(ctx, reqID)
-	}
-	c.journal.Start(reqID, "run "+ps.String())
-	if c.paramCache != nil {
-		if res, ok := c.paramCache.GetParam(id, params); ok && res.Err == nil && res.Table != nil {
-			res.ID = id
-			res.Cached = true
-			c.journal.Add(reqID, trace.Event{Kind: trace.KindCacheHit, Detail: "coordinator front cache"})
-			return res, nil
-		}
-		c.journal.Add(reqID, trace.Event{Kind: trace.KindCacheMiss, Detail: "coordinator front cache"})
-	}
-	if fam.Shardable != nil {
-		if res, done := c.runPrefixSharded(ctx, id, ps, fam.Shardable(ps)); done {
-			if c.paramCache != nil && res.Err == nil {
-				c.paramCache.PutParam(id, params, res) // best-effort, like the engine
-			}
-			return res, nil
-		}
-	}
-	return c.runWholeParam(ctx, fam, ps)
-}
-
-// runWholeParam fetches one non-default parameter point whole, with
-// the whole-experiment failover rules, then falls back to local
-// evaluation through experiments.RunParam (which owns the point's
-// cache read-through).
-func (c *Coordinator) runWholeParam(ctx context.Context, fam experiments.Family, ps experiments.ParamSet) (experiments.Result, error) {
-	id := fam.ID
-	reqID := trace.IDFrom(ctx)
 	tried := make(map[*worker]bool)
 	for attempt := 0; attempt < c.retries; attempt++ {
 		w := c.pick(tried)
@@ -657,83 +561,13 @@ func (c *Coordinator) runWholeParam(ctx context.Context, fam experiments.Family,
 		c.journal.Add(reqID, trace.Event{Kind: trace.KindWorkerSelected, Worker: w.base,
 			Detail: fmt.Sprintf("in-flight %d", w.inflight.Load())})
 		fetchStart := time.Now()
-		res, err := c.fetchParam(ctx, w, id, ps)
-		w.inflight.Add(-1)
-		if err == nil {
-			c.remote.Add(1)
-			c.journal.Add(reqID, trace.Event{Kind: trace.KindFetch, Worker: w.base,
-				Detail: fmt.Sprintf("fetched point in %v", time.Since(fetchStart).Round(time.Microsecond))})
-			if c.paramCache != nil && res.Err == nil {
-				c.paramCache.PutParam(id, ps.Canonical(), res)
-			}
-			return res, nil
-		}
-		if ctx.Err() != nil {
-			return experiments.Result{ID: id, Err: ctx.Err()}, nil
-		}
-		c.failovers.Add(1)
-		c.journal.Add(reqID, trace.Event{Kind: trace.KindRetry, Worker: w.base, Detail: err.Error()})
-		c.logf("shard: %s on %s failed (%v); failing over", ps, w.base, err)
-	}
-	c.journal.Add(reqID, trace.Event{Kind: trace.KindLocalFallback})
-	select {
-	case c.localSem <- struct{}{}:
-	case <-ctx.Done():
-		return experiments.Result{ID: id, Err: ctx.Err()}, nil
-	}
-	defer func() { <-c.localSem }()
-	res := experiments.RunParam(ctx, fam, ps, experiments.Options{
-		Timeout: c.local.Timeout,
-		Cache:   c.local.Cache,
-	})
-	c.localRuns.Add(1)
-	c.logf("shard: %s ran locally", ps)
-	return res, nil
-}
-
-// fetchParam retrieves one parameter point whole from one worker, the
-// explicit query spelling out every parameter so any worker resolves
-// it to the same canonical point.
-func (c *Coordinator) fetchParam(ctx context.Context, w *worker, id string, ps experiments.ParamSet) (experiments.Result, error) {
-	var res experiments.Result
-	path := "/experiments/" + url.PathEscape(id) + "?" + ps.Query() + "&format=json"
-	err := c.fetchWorker(ctx, w, path, func(body io.Reader) error {
-		results, err := experiments.DecodeJSON(body)
-		if err != nil {
-			return err
-		}
-		if len(results) != 1 || results[0].ID != id || results[0].Err != nil || results[0].Table == nil {
-			return fmt.Errorf("unusable result payload")
-		}
-		res = results[0]
-		return nil
-	})
-	return res, err
-}
-
-// runWhole tries up to c.retries distinct workers, least-loaded first,
-// then falls back to the local engine.
-func (c *Coordinator) runWhole(ctx context.Context, id string) (experiments.Result, error) {
-	reqID := trace.IDFrom(ctx)
-	tried := make(map[*worker]bool)
-	for attempt := 0; attempt < c.retries; attempt++ {
-		w := c.pick(tried)
-		if w == nil {
-			break // fleet exhausted (or entirely unhealthy)
-		}
-		tried[w] = true
-		c.journal.Add(reqID, trace.Event{Kind: trace.KindWorkerSelected, Worker: w.base,
-			Detail: fmt.Sprintf("in-flight %d", w.inflight.Load())})
-		fetchStart := time.Now()
-		res, err := c.fetch(ctx, w, id)
+		res, err := c.fetch(ctx, w, id, ps)
 		w.inflight.Add(-1)
 		if err == nil {
 			c.remote.Add(1)
 			c.journal.Add(reqID, trace.Event{Kind: trace.KindFetch, Worker: w.base,
 				Detail: fmt.Sprintf("fetched whole in %v", time.Since(fetchStart).Round(time.Microsecond))})
-			if c.local.Cache != nil && res.Err == nil && res.Table != nil {
-				c.local.Cache.Put(id, res) // best-effort, like the engine
-			}
+			experiments.CachePut(c.local.Cache, id, params, res) // best-effort, like the engine
 			return res, nil
 		}
 		if ctx.Err() != nil {
@@ -741,244 +575,10 @@ func (c *Coordinator) runWhole(ctx context.Context, id string) (experiments.Resu
 		}
 		c.failovers.Add(1)
 		c.journal.Add(reqID, trace.Event{Kind: trace.KindRetry, Worker: w.base, Detail: err.Error()})
-		c.logf("shard: %s on %s failed (%v); failing over", id, w.base, err)
+		c.logf("shard: %s on %s failed (%v); failing over", what, w.base, err)
 	}
 	c.journal.Add(reqID, trace.Event{Kind: trace.KindLocalFallback})
-	return c.runLocal(ctx, id)
-}
-
-// minShardWorkers is the fleet size below which prefix sharding is
-// not worth carving: with fewer than two selectable workers there is
-// no intra-experiment parallelism to win, and a whole fetch keeps the
-// worker's content-addressed cache in play.
-const minShardWorkers = 2
-
-// runPrefixSharded splits one shardable experiment's exploration
-// space across the fleet: carve the deterministic partition into
-// contiguous ranges (about two per selectable worker, so a slow
-// worker's second helping flows to its peers), fetch every range
-// concurrently with the same least-loaded selection and failover
-// rules as whole experiments, merge the order-insensitive aggregates
-// in range order, and render the table. A range whose attempts
-// exhaust the fleet is explored locally — reassigned, never dropped —
-// so the merged table is byte-identical to a local run no matter
-// which workers died along the way. ps is the parameter point the
-// space is carved at — the zero ParamSet for a fixed experiment. done
-// reports whether the experiment was handled here; carving problems
-// (partition failure, too few workers) fall back to the
-// whole-experiment path.
-func (c *Coordinator) runPrefixSharded(ctx context.Context, id string, ps experiments.ParamSet, sh experiments.Shardable) (experiments.Result, bool) {
-	start := c.now()
-	if c.selectableCount() < minShardWorkers {
-		return experiments.Result{}, false
-	}
-	roots, err := sh.Roots()
-	if err != nil || len(roots) == 0 {
-		c.logf("shard: %s: partition failed (%v); fetching whole", id, err)
-		return experiments.Result{}, false
-	}
-	ranges := splitRanges(roots, 2*c.selectableCount())
-	c.journal.Add(trace.IDFrom(ctx), trace.Event{Kind: trace.KindCarve,
-		Detail: fmt.Sprintf("%d roots into %d ranges across %d selectable workers",
-			len(roots), len(ranges), c.selectableCount())})
-	// Counted at the carve, not at success: the range counters below
-	// move for this experiment either way, and the stats must agree
-	// that its space was split even if a range later fails.
-	c.prefixSharded.Add(1)
-	aggs := make([]experiments.Aggregate, len(ranges))
-	errs := make([]error, len(ranges))
-	var wg sync.WaitGroup
-	for i := range ranges {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			aggs[i], errs[i] = c.runRange(ctx, id, ps, sh, ranges[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			// A range that cannot be computed anywhere (local explore
-			// failed, or the run was cancelled) fails the experiment:
-			// merging a partial space would silently corrupt the
-			// theorem-level counts the table reports.
-			return experiments.Result{ID: id, Err: err, Duration: c.now().Sub(start)}, true
-		}
-	}
-	merged := aggs[0]
-	for _, agg := range aggs[1:] {
-		if err := merged.Merge(agg); err != nil {
-			return experiments.Result{ID: id, Err: err, Duration: c.now().Sub(start)}, true
-		}
-	}
-	tab, err := sh.Finish(merged)
-	if err != nil {
-		return experiments.Result{ID: id, Err: err, Duration: c.now().Sub(start)}, true
-	}
-	return experiments.Result{ID: id, Table: tab, Duration: c.now().Sub(start)}, true
-}
-
-// selectableCount reports how many workers may currently receive a
-// request (healthy, or due a revival probe).
-func (c *Coordinator) selectableCount() int {
-	now := c.now()
-	n := 0
-	for _, w := range c.workers {
-		if w.selectable(now) {
-			n++
-		}
-	}
-	return n
-}
-
-// splitRanges carves roots into at most n contiguous, near-even,
-// non-empty ranges, preserving order so every coordinator carves the
-// same partition into the same ranges.
-func splitRanges(roots [][]int, n int) [][][]int {
-	if n > len(roots) {
-		n = len(roots)
-	}
-	if n < 1 {
-		n = 1
-	}
-	out := make([][][]int, 0, n)
-	for i := 0; i < n; i++ {
-		lo, hi := i*len(roots)/n, (i+1)*len(roots)/n
-		out = append(out, roots[lo:hi])
-	}
-	return out
-}
-
-// runRange computes one prefix range's aggregate. The coordinator's
-// own artifact store is consulted first (read-through: a range served
-// from disk never touches the fleet), then up to c.retries distinct
-// workers with the whole-experiment failover rules (a transport error
-// evicts, an HTTP error only fails the attempt), then the local
-// explorer. Every failed attempt reassigns the range — it is never
-// dropped — and every computed aggregate, remote or local, is stored
-// back so the next run of this space starts warm.
-func (c *Coordinator) runRange(ctx context.Context, id string, ps experiments.ParamSet, sh experiments.Shardable, roots [][]int) (experiments.Aggregate, error) {
-	reqID := trace.IDFrom(ctx)
-	prefixes := experiments.FormatPrefixes(roots)
-	params := ps.Canonical()
-	if c.sliceCache != nil {
-		if env, ok := c.sliceCache.GetSlice(id, params, prefixes); ok {
-			// The store vouches for the bytes (checksum, key match);
-			// Decode vouches for the semantics. A rejected aggregate
-			// falls through to a fetch, whose success overwrites it.
-			if agg, err := sh.Decode(env.Aggregate); err == nil {
-				c.prefixCached.Add(1)
-				c.journal.Add(reqID, trace.Event{Kind: trace.KindSliceCacheHit, Range: prefixes,
-					Detail: "coordinator artifact store"})
-				return agg, nil
-			}
-		}
-		c.journal.Add(reqID, trace.Event{Kind: trace.KindSliceCacheMiss, Range: prefixes,
-			Detail: "coordinator artifact store"})
-	}
-	tried := make(map[*worker]bool)
-	for attempt := 0; attempt < c.retries; attempt++ {
-		w := c.pick(tried)
-		if w == nil {
-			break // fleet exhausted for this range
-		}
-		tried[w] = true
-		c.journal.Add(reqID, trace.Event{Kind: trace.KindWorkerSelected, Worker: w.base, Range: prefixes,
-			Detail: fmt.Sprintf("in-flight %d", w.inflight.Load())})
-		fetchStart := time.Now()
-		agg, env, err := c.fetchSlice(ctx, w, id, ps, sh, prefixes)
-		w.inflight.Add(-1)
-		if err == nil {
-			c.prefixRemote.Add(1)
-			c.journal.Add(reqID, trace.Event{Kind: trace.KindFetch, Worker: w.base, Range: prefixes,
-				Detail: fmt.Sprintf("fetched slice in %v", time.Since(fetchStart).Round(time.Microsecond))})
-			c.storeSlice(reqID, env)
-			return agg, nil
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		c.failovers.Add(1)
-		c.rangesReassigned.Add(1)
-		c.journal.Add(reqID, trace.Event{Kind: trace.KindRetry, Worker: w.base, Range: prefixes,
-			Detail: err.Error()})
-		c.logf("shard: %s range %s on %s failed (%v); reassigning", id, prefixes, w.base, err)
-	}
-	// A local exploration fans out across every core (Explore owns the
-	// whole budget, unlike the engine's serial runners), so ranges
-	// falling back concurrently are serialized on a one-slot semaphore
-	// rather than stacking full-width explorer pools.
-	c.journal.Add(reqID, trace.Event{Kind: trace.KindLocalFallback, Range: prefixes})
-	select {
-	case c.exploreSem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	defer func() { <-c.exploreSem }()
-	exploreStart := time.Now()
-	agg, err := sh.Explore(roots)
-	if err != nil {
-		return nil, err
-	}
-	c.prefixLocal.Add(1)
-	c.journal.Add(reqID, trace.Event{Kind: trace.KindExplore, Range: prefixes,
-		Detail: fmt.Sprintf("explored locally in %v", time.Since(exploreStart).Round(time.Microsecond))})
-	c.logf("shard: %s range %s explored locally", id, prefixes)
-	if env, err := experiments.NewShardEnvelope(id, params, roots, agg); err == nil {
-		c.storeSlice(reqID, env)
-	}
-	return agg, nil
-}
-
-// storeSlice writes one computed range back to the artifact store,
-// best-effort: caching is an optimisation, never a reason to fail a
-// range that was just computed successfully.
-func (c *Coordinator) storeSlice(reqID string, env experiments.ShardEnvelope) {
-	if c.sliceCache == nil {
-		return
-	}
-	if err := c.sliceCache.PutSlice(env); err != nil {
-		c.logf("shard: storing slice %s %s: %v", env.ID, env.Prefixes, err)
-		return
-	}
-	c.journal.Add(reqID, trace.Event{Kind: trace.KindSliceCacheStore, Range: env.Prefixes,
-		Detail: "coordinator artifact store"})
-}
-
-// fetchSlice retrieves one prefix range's aggregate from one worker,
-// under the same in-flight cap, timeout, eviction, and revival rules
-// as a whole-experiment fetch, returning the decoded aggregate and
-// the validated wire envelope (the form the artifact store keeps). A
-// worker serving a different generation of this experiment's space
-// (per-family SpaceVersion) fails the attempt: its numbers describe a
-// different space — and because the check is per space, a fleet
-// mid-rollout of one family's code keeps serving every other family.
-func (c *Coordinator) fetchSlice(ctx context.Context, w *worker, id string, ps experiments.ParamSet, sh experiments.Shardable, prefixes string) (experiments.Aggregate, experiments.ShardEnvelope, error) {
-	var agg experiments.Aggregate
-	var env experiments.ShardEnvelope
-	params := ps.Canonical()
-	query := "?"
-	if pq := ps.Query(); pq != "" {
-		query += pq + "&"
-	}
-	path := "/experiments/" + url.PathEscape(id) + query + "prefixes=" + url.QueryEscape(prefixes)
-	err := c.fetchWorker(ctx, w, path, func(body io.Reader) error {
-		var err error
-		env, err = experiments.DecodeShard(body)
-		if err != nil {
-			return err
-		}
-		if env.ID != id || env.Prefixes != prefixes || env.Params != params {
-			return fmt.Errorf("shard envelope for %s %s params %q, want %s %s params %q",
-				env.ID, env.Prefixes, env.Params, id, prefixes, params)
-		}
-		if want := experiments.SpaceVersion(id); env.SpaceVersion != want {
-			return fmt.Errorf("worker space %s, want %s", env.SpaceVersion, want)
-		}
-		agg, err = sh.Decode(env.Aggregate)
-		return err
-	})
-	return agg, env, err
+	return c.runLocal(ctx, id, ps, fam, what)
 }
 
 // pick returns the selectable, untried worker with the lowest load,
@@ -1010,8 +610,8 @@ func (c *Coordinator) pick(tried map[*worker]bool) *worker {
 // request's own deadline, because a slow experiment is not a dead
 // worker — a non-200 drains a bounded body prefix and fails the
 // attempt, and a fully decoded success (decode returned nil) restores
-// an evicted worker to rotation. Both the whole-experiment and the
-// prefix-slice paths go through here so the failover policy cannot
+// an evicted worker to rotation. Both the fixed-experiment and the
+// parameter-point paths go through here so the failover policy cannot
 // diverge between them.
 func (c *Coordinator) fetchWorker(ctx context.Context, w *worker, pathAndQuery string, decode func(io.Reader) error) error {
 	select {
@@ -1044,8 +644,8 @@ func (c *Coordinator) fetchWorkerLocked(ctx context.Context, w *worker, pathAndQ
 		return err
 	}
 	// The trace ID crosses the process boundary here: the worker
-	// journals its slice-cache and exploration decisions under the same
-	// ID the coordinator journals selection under.
+	// journals its cache and singleflight decisions under the same ID
+	// the coordinator journals selection under.
 	reqID := trace.IDFrom(ctx)
 	if reqID != "" {
 		req.Header.Set(trace.Header, reqID)
@@ -1082,10 +682,16 @@ func (c *Coordinator) fetchWorkerLocked(ctx context.Context, w *worker, pathAndQ
 	return nil
 }
 
-// fetch retrieves one experiment whole from one worker.
-func (c *Coordinator) fetch(ctx context.Context, w *worker, id string) (experiments.Result, error) {
+// fetch retrieves one experiment whole from one worker — a parameter
+// point with an explicit query spelling out every parameter, so any
+// worker resolves it to the same canonical point.
+func (c *Coordinator) fetch(ctx context.Context, w *worker, id string, ps experiments.ParamSet) (experiments.Result, error) {
 	var res experiments.Result
-	err := c.fetchWorker(ctx, w, "/experiments/"+url.PathEscape(id)+"?format=json", func(body io.Reader) error {
+	path := "/experiments/" + url.PathEscape(id) + "?"
+	if q := ps.Query(); q != "" {
+		path += q + "&"
+	}
+	err := c.fetchWorker(ctx, w, path+"format=json", func(body io.Reader) error {
 		results, err := experiments.DecodeJSON(body)
 		if err != nil {
 			return err
@@ -1099,39 +705,46 @@ func (c *Coordinator) fetch(ctx context.Context, w *worker, id string) (experime
 	return res, err
 }
 
-// runLocal executes one experiment through the in-process engine,
-// bounded by the local-fallback concurrency (Options.Local.Jobs).
-func (c *Coordinator) runLocal(ctx context.Context, id string) (experiments.Result, error) {
+// runLocal executes one experiment (or one point of fam) in process,
+// bounded by the local-fallback concurrency (Options.Local.Jobs): the
+// engine with the coordinator's Local options for a fixed experiment,
+// experiments.RunParam — which owns the point's cache read-through —
+// for a parameter point.
+func (c *Coordinator) runLocal(ctx context.Context, id string, ps experiments.ParamSet, fam experiments.Family, what string) (experiments.Result, error) {
 	select {
 	case c.localSem <- struct{}{}:
 	case <-ctx.Done():
 		return experiments.Result{ID: id, Err: ctx.Err()}, nil
 	}
 	defer func() { <-c.localSem }()
-	opts := c.local
-	opts.IDs = []string{id}
-	opts.Jobs = 1
-	results, err := experiments.Run(ctx, opts)
-	if err != nil {
-		return experiments.Result{}, err
+	var res experiments.Result
+	if ps.Canonical() == "" {
+		opts := c.local
+		opts.IDs = []string{id}
+		opts.Jobs = 1
+		results, err := experiments.Run(ctx, opts)
+		if err != nil {
+			return experiments.Result{}, err
+		}
+		res = results[0]
+	} else {
+		res = experiments.RunParam(ctx, fam, ps, experiments.Options{
+			Timeout: c.local.Timeout,
+			Cache:   c.local.Cache,
+		})
 	}
 	c.localRuns.Add(1)
-	c.logf("shard: %s ran locally", id)
-	return results[0], nil
+	c.logf("shard: %s ran locally", what)
+	return res, nil
 }
 
 // Stats returns a snapshot of the coordinator's counters.
 func (c *Coordinator) Stats() Stats {
 	st := Stats{
-		WorkersTotal:       len(c.workers),
-		Remote:             c.remote.Load(),
-		Local:              c.localRuns.Load(),
-		Failovers:          c.failovers.Load(),
-		PrefixSharded:      c.prefixSharded.Load(),
-		PrefixRangesRemote: c.prefixRemote.Load(),
-		PrefixRangesLocal:  c.prefixLocal.Load(),
-		PrefixRangesCached: c.prefixCached.Load(),
-		RangesReassigned:   c.rangesReassigned.Load(),
+		WorkersTotal: len(c.workers),
+		Remote:       c.remote.Load(),
+		Local:        c.localRuns.Load(),
+		Failovers:    c.failovers.Load(),
 	}
 	for _, w := range c.workers {
 		if w.healthy.Load() {

@@ -276,7 +276,108 @@ func TestDeadFleetFallsBackLocal(t *testing.T) {
 	}
 }
 
-// TestWorkerKilledMidRun: a worker that dies after the coordinator's
+// TestPrefixFleetWithoutSliceSupport: a fleet whose workers answer
+// ?prefixes= with a 400 (as every worker now does) still serves E2:
+// the coordinator fetches the experiment whole, never sends a prefix
+// range, explores nothing locally and keeps both workers healthy.
+func TestPrefixFleetWithoutSliceSupport(t *testing.T) {
+	ids := []string{"E2"}
+	var mu sync.Mutex
+	var queries []string
+	fleetReg, fleetExecs := syntheticRegistry(ids...)
+	inner := server.New(server.Options{Registry: fleetReg})
+	worker := func() *httptest.Server {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, "/experiments/") {
+				mu.Lock()
+				queries = append(queries, r.URL.RawQuery)
+				mu.Unlock()
+			}
+			inner.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	w1, w2 := worker(), worker()
+	if resp, err := http.Get(w1.URL + "/experiments/E2?prefixes=-"); err != nil {
+		t.Fatal(err)
+	} else if resp.Body.Close(); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("worker answered ?prefixes=- with %d, want 400", resp.StatusCode)
+	}
+	mu.Lock()
+	queries = nil
+	mu.Unlock()
+
+	localReg, localExecs := syntheticRegistry(ids...)
+	coord, err := New(Options{
+		Workers: []string{w1.URL, w2.URL},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := coord.Run(context.Background(), ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := encodeAll(t, results), localBaseline(t, ids); !bytes.Equal(got, want) {
+		t.Errorf("output differs when fleet lacks slice support:\n%s\nvs\n%s", got, want)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, q := range queries {
+		if strings.Contains(q, "prefixes") {
+			t.Errorf("coordinator sent a prefix range: ?%s", q)
+		}
+	}
+	if len(queries) != 1 {
+		t.Errorf("experiment fetches = %d (%q), want 1 whole fetch", len(queries), queries)
+	}
+	st := coord.Stats()
+	if st.Remote != 1 || st.Local != 0 || st.PrefixRangesRemote != 0 || st.PrefixRangesLocal != 0 {
+		t.Errorf("stats = %+v, want one whole remote fetch and no ranges", st)
+	}
+	if n := fleetExecs.Load(); n != 1 {
+		t.Errorf("fleet executions = %d, want 1", n)
+	}
+	if n := localExecs.Load(); n != 0 {
+		t.Errorf("local executions = %d, want 0", n)
+	}
+	if st.WorkersHealthy != 2 {
+		t.Errorf("healthy = %d, want 2", st.WorkersHealthy)
+	}
+}
+
+// TestPrefixDeadFleetFallsBackWhole: E2 over an entirely dead fleet
+// runs whole through the local engine — one local execution, no
+// prefix ranges, bytes unchanged.
+func TestPrefixDeadFleetFallsBackWhole(t *testing.T) {
+	ids := []string{"E2"}
+	localReg, localExecs := syntheticRegistry(ids...)
+	coord, err := New(Options{
+		Workers: []string{deadAddr(t), deadAddr(t)},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := coord.Run(context.Background(), ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := encodeAll(t, results), localBaseline(t, ids); !bytes.Equal(got, want) {
+		t.Errorf("dead-fleet output differs:\n%s\nvs\n%s", got, want)
+	}
+	st := coord.Stats()
+	if st.Remote != 0 || st.Local != 1 || st.PrefixRangesRemote != 0 || st.PrefixRangesLocal != 0 {
+		t.Errorf("stats = %+v, want one whole local run and no ranges", st)
+	}
+	if n := localExecs.Load(); n != 1 {
+		t.Errorf("local executions = %d, want 1", n)
+	}
+}
+
+// TestWorkerKilledMidRun:a worker that dies after the coordinator's
 // probe is marked unhealthy on its first transport error and the rest
 // of the run flows to the survivor — output unchanged.
 func TestWorkerKilledMidRun(t *testing.T) {
@@ -592,5 +693,141 @@ func TestFetchTimeoutDoesNotKillWorker(t *testing.T) {
 	st := coord.Stats()
 	if st.WorkersHealthy != 1 {
 		t.Fatalf("healthy = %d, want 1 (a timeout must not mark the worker dead)", st.WorkersHealthy)
+	}
+}
+
+// TestVersionSkewedWorkerRejected: a worker on a different experiment
+// generation answers 200 with decodable bytes from the wrong
+// registry; both defenses must hold — the probe's /stats version
+// check starts it evicted, and the per-response header check fails
+// any fetch that reaches it anyway — so the run flows to the
+// same-generation worker and the bytes stay byte-identical.
+func TestVersionSkewedWorkerRejected(t *testing.T) {
+	ids := []string{"E1", "E2"}
+	reg, _ := syntheticRegistry(ids...)
+	current := newWorker(t, reg)
+
+	// A worker from another generation: valid table responses, but
+	// /stats and the response header advertise a different registry.
+	skewReg, skewExecs := syntheticRegistry(ids...)
+	skewInner := server.New(server.Options{Registry: skewReg})
+	skewed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/stats" {
+			fmt.Fprint(w, `{"registry_version":"other-gen/v9","in_flight":0,"requests":0,"experiments":{}}`)
+			return
+		}
+		rec := httptest.NewRecorder()
+		skewInner.ServeHTTP(rec, r)
+		for k, vs := range rec.Header() {
+			for _, v := range vs {
+				w.Header().Add(k, v)
+			}
+		}
+		w.Header().Set(server.RegistryVersionHeader, "other-gen/v9")
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	defer skewed.Close()
+
+	localReg, localExecs := syntheticRegistry(ids...)
+	coord, err := New(Options{
+		Workers: []string{skewed.URL, current.URL},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := coord.Stats().WorkersHealthy; got != 1 {
+		t.Fatalf("healthy after probe = %d, want 1 (skewed worker must start evicted)", got)
+	}
+	results, err := coord.Run(context.Background(), ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := encodeAll(t, results), localBaseline(t, ids); !bytes.Equal(got, want) {
+		t.Errorf("output differs with a version-skewed worker in the fleet:\n%s\nvs\n%s", got, want)
+	}
+	if n := skewExecs.Load(); n != 0 {
+		t.Errorf("skewed worker executed %d experiments", n)
+	}
+	if n := localExecs.Load(); n != 0 {
+		t.Errorf("%d experiments fell back locally despite a current worker", n)
+	}
+
+	// The header check alone must also reject: force a fetch at the
+	// skewed worker and watch the attempt fail.
+	wk := coord.workers[0]
+	if _, err := coord.fetch(context.Background(), wk, "E1", experiments.ParamSet{}); err == nil {
+		t.Fatal("fetch from a version-skewed worker succeeded")
+	}
+}
+
+// memCache is a minimal experiments.Cache for coordinator tests.
+type memCache struct {
+	mu sync.Mutex
+	m  map[string]experiments.Result
+}
+
+func newMemCache() *memCache { return &memCache{m: make(map[string]experiments.Result)} }
+
+func (c *memCache) Get(id string) (experiments.Result, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r, ok := c.m[id]
+	return r, ok
+}
+
+func (c *memCache) Put(id string, r experiments.Result) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m[id] = r
+	return nil
+}
+
+// TestWarmFrontCacheHit: with a front cache, the coordinator consults
+// its own store before dispatching — a warm result is served without
+// a fetch — and a remote success warms that store for the next run.
+func TestWarmFrontCacheHit(t *testing.T) {
+	ids := []string{"E1", "E2"}
+	reg1, execs1 := syntheticRegistry(ids...)
+	reg2, execs2 := syntheticRegistry(ids...)
+	w1, w2 := newWorker(t, reg1), newWorker(t, reg2)
+	localReg, localExecs := syntheticRegistry(ids...)
+	cache := newMemCache()
+	coord, err := New(Options{
+		Workers: []string{w1.URL, w2.URL},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1, Cache: cache},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := coord.Run(context.Background(), ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleetCold := execs1.Load() + execs2.Load()
+	if fleetCold != int64(len(ids)) {
+		t.Fatalf("cold run executed %d experiments remotely, want %d", fleetCold, len(ids))
+	}
+	warm, err := coord.Run(context.Background(), ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := execs1.Load() + execs2.Load(); n != fleetCold {
+		t.Errorf("warm run executed %d more experiments on the fleet", n-fleetCold)
+	}
+	if n := localExecs.Load(); n != 0 {
+		t.Errorf("warm run executed %d experiments locally", n)
+	}
+	for _, r := range warm {
+		if !r.Cached {
+			t.Errorf("warm result %s not marked cached", r.ID)
+		}
+	}
+	if got, want := encodeAll(t, warm), encodeAll(t, cold); !bytes.Equal(got, want) {
+		t.Errorf("warm bytes differ from cold:\n%s\nvs\n%s", got, want)
+	}
+	if st := coord.Stats(); st.Remote != int64(len(ids)) {
+		t.Errorf("stats = %+v, want exactly the cold run's fetches", st)
 	}
 }

@@ -21,94 +21,73 @@ func kindSet(tr trace.Trace) map[string]bool {
 	return out
 }
 
-// TestPrefixShardedTraceEndToEnd is the tracing tentpole's
-// acceptance gate at package level: one prefix-sharded run under a
-// coordinator journal produces a single trace whose ID also names the
-// request in every worker's journal (header propagation), with a
-// carve event, one worker_selected + fetch pair per range annotated
-// with the worker and in-flight count, and worker-side explore events
-// for the same ranges.
-func TestPrefixShardedTraceEndToEnd(t *testing.T) {
-	const id = "E2"
+// TestShardedTraceEndToEnd is the tracing acceptance gate at package
+// level: a sharded run under a coordinator journal produces one trace
+// per experiment whose ID also names the request in the journal of
+// the worker that served it (header propagation), with a
+// worker_selected event annotated with the worker and in-flight count
+// and a fetch event naming the worker.
+func TestShardedTraceEndToEnd(t *testing.T) {
+	ids := []string{"E1", "E2"}
 	j1, j2 := trace.NewJournal(0, 0), trace.NewJournal(0, 0)
-	reg1, shs1, _ := shardableFixture(id)
-	w1 := httptest.NewServer(server.New(server.Options{Registry: reg1, Shardables: shs1, Journal: j1}))
+	reg1, _ := syntheticRegistry(ids...)
+	w1 := httptest.NewServer(server.New(server.Options{Registry: reg1, Journal: j1}))
 	t.Cleanup(w1.Close)
-	reg2, shs2, _ := shardableFixture(id)
-	w2 := httptest.NewServer(server.New(server.Options{Registry: reg2, Shardables: shs2, Journal: j2}))
+	reg2, _ := syntheticRegistry(ids...)
+	w2 := httptest.NewServer(server.New(server.Options{Registry: reg2, Journal: j2}))
 	t.Cleanup(w2.Close)
 
 	journal := trace.NewJournal(0, 0)
-	localReg, localShs, _ := shardableFixture(id)
+	localReg, _ := syntheticRegistry(ids...)
 	coord, err := New(Options{
-		Workers:    []string{w1.URL, w2.URL},
-		Shardables: localShs,
-		Local:      experiments.Options{Registry: localReg, Jobs: 1},
-		Journal:    journal,
+		Workers: []string{w1.URL, w2.URL},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1},
+		Journal: journal,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.Run(context.Background(), []string{id}); err != nil {
+	if _, err := coord.Run(context.Background(), ids); err != nil {
 		t.Fatal(err)
 	}
 
 	traces := journal.Traces()
-	if len(traces) != 1 {
-		t.Fatalf("coordinator journal holds %d traces, want 1", len(traces))
+	if len(traces) != len(ids) {
+		t.Fatalf("coordinator journal holds %d traces, want %d", len(traces), len(ids))
 	}
-	tr := traces[0]
-	if tr.What != "run "+id {
-		t.Fatalf("trace What = %q", tr.What)
-	}
-	kinds := kindSet(tr)
-	if !kinds[trace.KindCarve] {
-		t.Fatalf("no carve event in %+v", tr.Events)
-	}
-	// 8 roots over 2 workers carve into 4 ranges: each range gets a
-	// selection (annotated with worker + in-flight) and a fetch, all
-	// tagged with its canonical prefix rendering.
-	selected := make(map[string]bool)
-	fetched := make(map[string]bool)
-	for _, ev := range tr.Events {
-		switch ev.Kind {
-		case trace.KindWorkerSelected:
-			if ev.Worker == "" || !strings.Contains(ev.Detail, "in-flight") {
-				t.Fatalf("selection event missing worker/load: %+v", ev)
-			}
-			selected[ev.Range] = true
-		case trace.KindFetch:
-			if ev.Worker == "" || ev.Range == "" {
-				t.Fatalf("fetch event missing worker/range: %+v", ev)
-			}
-			fetched[ev.Range] = true
+	for _, tr := range traces {
+		if !strings.HasPrefix(tr.What, "run E") {
+			t.Fatalf("trace What = %q", tr.What)
 		}
-	}
-	if len(selected) != 4 || len(fetched) != 4 {
-		t.Fatalf("selected %d ranges, fetched %d, want 4 each: %+v", len(selected), len(fetched), tr.Events)
-	}
-
-	// The same ID names this request on the workers: each worker's
-	// journal holds the trace with explore events for the ranges it
-	// served — the evidence the Repro-Request-ID header crossed over.
-	workerRanges := make(map[string]bool)
-	for i, wj := range []*trace.Journal{j1, j2} {
+		var fetchedBy string
+		for _, ev := range tr.Events {
+			switch ev.Kind {
+			case trace.KindWorkerSelected:
+				if ev.Worker == "" || !strings.Contains(ev.Detail, "in-flight") {
+					t.Fatalf("selection event missing worker/load: %+v", ev)
+				}
+			case trace.KindFetch:
+				if ev.Worker == "" {
+					t.Fatalf("fetch event missing worker: %+v", ev)
+				}
+				fetchedBy = ev.Worker
+			}
+		}
+		if fetchedBy == "" {
+			t.Fatalf("%s: no fetch event in %+v", tr.What, tr.Events)
+		}
+		// The same ID names this request on the worker that served it —
+		// the evidence the Repro-Request-ID header crossed over.
+		wj := map[string]*trace.Journal{w1.URL: j1, w2.URL: j2}[fetchedBy]
+		if wj == nil {
+			t.Fatalf("fetch names unknown worker %q", fetchedBy)
+		}
 		wtr, ok := wj.Get(tr.ID)
 		if !ok {
-			t.Fatalf("worker %d journal has no trace %s (header not propagated?)", i+1, tr.ID)
+			t.Fatalf("serving worker's journal has no trace %s (header not propagated?)", tr.ID)
 		}
-		for _, ev := range wtr.Events {
-			if ev.Kind == trace.KindExplore {
-				workerRanges[ev.Range] = true
-			}
-		}
-	}
-	if len(workerRanges) != 4 {
-		t.Fatalf("workers journaled explorations for %d ranges, want 4", len(workerRanges))
-	}
-	for r := range fetched {
-		if !workerRanges[r] {
-			t.Fatalf("range %s fetched by the coordinator but explored by no worker", r)
+		if kinds := kindSet(wtr); !kinds[trace.KindRequest] || !kinds[trace.KindDone] {
+			t.Fatalf("worker span for %s lacks request/done: %+v", tr.ID, wtr.Events)
 		}
 	}
 }

@@ -231,15 +231,3 @@ func ExploreAlg2(plan *Plan, input Pair, opts sched.Options) (sched.Stats, error
 	_, stats, err := sched.Explore(factory, opts)
 	return stats, err
 }
-
-// Alg2Roots enumerates the live schedule prefixes of the Algorithm 2
-// exploration at the given cut depth (sched.PartitionRoots), so the
-// validation sweep can be carved into disjoint ranges like any other
-// exploration space.
-func Alg2Roots(plan *Plan, input Pair, depth int) ([][]int, error) {
-	factory := func() []sched.ProcFunc {
-		sys := NewAlg2System(plan)
-		return []sched.ProcFunc{sys.Proc(0, input[0]), sys.Proc(1, input[1])}
-	}
-	return sched.PartitionRoots(factory, 0, depth)
-}

@@ -86,50 +86,6 @@ func TestAlg2MemoMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestAlg2MemoPrefixUnion pins the sharded memoized validation sweep:
-// per-slice execution counts over any Alg2Roots partition sum to the
-// ExploreAlg2 total, with every visited leaf validated.
-func TestAlg2MemoPrefixUnion(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exhaustive exploration")
-	}
-	task := ChoiceTask(2)
-	plan := planFor(t, task)
-	input := task.Inputs[0]
-	exh, err := ExploreAlg2(plan, input, sched.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	whole := exh.Executions
-	for _, depth := range []int{0, 4} {
-		roots, err := Alg2Roots(plan, input, depth)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if depth > 0 && len(roots) < 2 {
-			t.Fatalf("depth %d partition has %d roots", depth, len(roots))
-		}
-		stats, err := ExploreAlg2(plan, input, sched.Options{Roots: roots, Memo: true})
-		if err != nil {
-			t.Fatalf("depth %d: %v", depth, err)
-		}
-		if stats.Executions != whole {
-			t.Fatalf("depth %d one-call union: %d executions, want %d", depth, stats.Executions, whole)
-		}
-		total := 0
-		for _, root := range roots {
-			s, err := ExploreAlg2(plan, input, sched.Options{Roots: [][]int{root}, Memo: true})
-			if err != nil {
-				t.Fatalf("depth %d root %v: %v", depth, root, err)
-			}
-			total += s.Executions
-		}
-		if total != whole {
-			t.Fatalf("depth %d: per-root executions sum to %d, want %d", depth, total, whole)
-		}
-	}
-}
-
 // TestAlg2MemoSurfacesViolation ensures a validation failure in a
 // visited leaf is not silently pruned away: a plan doctored to emit an
 // illegal output must fail the memoized sweep.

@@ -7,11 +7,10 @@
 //
 // The latency histograms (internal/hist) say how slow a request was;
 // the journal says why: every load-bearing decision on the serving
-// path — worker chosen and at what in-flight count, cache and
-// slice-cache outcome, retry, transport eviction, revival,
-// registry-version rejection, local-range fallback, singleflight
-// coalesce — is one timestamped Event tagged with the prefix range it
-// concerns. GET /trace/{id} (internal/server) exposes a process's
+// path — worker chosen and at what in-flight count, cache outcome,
+// retry, transport eviction, revival, registry-version rejection,
+// local fallback, singleflight coalesce — is one timestamped Event.
+// GET /trace/{id} (internal/server) exposes a process's
 // journal; `figures trace` fetches the same ID from several processes
 // and merges the events into one timeline, so a slow sharded request
 // is explainable after the fact without reproducing it.
@@ -60,11 +59,8 @@ const (
 const (
 	// KindRequest marks a request's arrival at a process.
 	KindRequest = "request"
-	// KindCarve records a shardable experiment's space being split
-	// into prefix ranges by the coordinator.
-	KindCarve = "carve"
 	// KindWorkerSelected records least-loaded selection: a worker
-	// chosen for a whole fetch or one range, with its in-flight count.
+	// chosen for a fetch, with its in-flight count.
 	KindWorkerSelected = "worker_selected"
 	// KindFetch records one remote fetch's outcome (success only;
 	// failures are KindRetry), with its duration.
@@ -72,16 +68,8 @@ const (
 	// KindCacheHit / KindCacheMiss are whole-result cache outcomes.
 	KindCacheHit  = "cache_hit"
 	KindCacheMiss = "cache_miss"
-	// KindSliceCacheHit / KindSliceCacheMiss / KindSliceCacheStore are
-	// artifact-store outcomes for one prefix range.
-	KindSliceCacheHit   = "slice_cache_hit"
-	KindSliceCacheMiss  = "slice_cache_miss"
-	KindSliceCacheStore = "slice_cache_store"
-	// KindExplore records a slice exploration actually executing (on a
-	// worker, or locally on the coordinator's fallback path).
-	KindExplore = "explore"
-	// KindRetry records a failed attempt moving work to another
-	// worker — a whole-fetch failover or a range reassignment.
+	// KindRetry records a failed fetch moving the work to another
+	// worker.
 	KindRetry = "retry"
 	// KindEvict records a transport failure taking a worker out of
 	// rotation; KindRevive records a success restoring one.
@@ -91,7 +79,7 @@ const (
 	// serving a different experiment generation.
 	KindRegistryReject = "registry_reject"
 	// KindLocalFallback records work that exhausted the fleet running
-	// on the local engine instead — a whole experiment or one range.
+	// on the local engine instead.
 	KindLocalFallback = "local_fallback"
 	// KindCoalesce records a request joining another request's
 	// in-flight singleflight execution instead of starting its own.
@@ -100,14 +88,11 @@ const (
 	KindDone = "done"
 )
 
-// Event is one timestamped decision on a request's path. Range names
-// the prefix range the event concerns (canonical
-// experiments.FormatPrefixes rendering; empty for whole-request
-// events), Worker the fleet member involved (empty when none).
+// Event is one timestamped decision on a request's path. Worker names
+// the fleet member involved (empty when none).
 type Event struct {
 	At     time.Time `json:"at"`
 	Kind   string    `json:"kind"`
-	Range  string    `json:"range,omitempty"`
 	Worker string    `json:"worker,omitempty"`
 	Detail string    `json:"detail,omitempty"`
 }

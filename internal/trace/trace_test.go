@@ -141,7 +141,7 @@ func TestJournalConcurrentIsolation(t *testing.T) {
 			for i := 0; i < eventsPer; i++ {
 				j.Add(id, Event{
 					Kind:   KindWorkerSelected,
-					Range:  fmt.Sprintf("range-%d", g),
+					Worker: fmt.Sprintf("worker-%d", g),
 					Detail: fmt.Sprintf("w%d-%d", g, i),
 				})
 			}
@@ -169,9 +169,9 @@ func TestJournalConcurrentIsolation(t *testing.T) {
 		if len(tr.Events) != eventsPer {
 			t.Fatalf("%s: %d events, want %d", id, len(tr.Events), eventsPer)
 		}
-		wantRange := fmt.Sprintf("range-%d", g)
+		wantWorker := fmt.Sprintf("worker-%d", g)
 		for i, ev := range tr.Events {
-			if ev.Range != wantRange {
+			if ev.Worker != wantWorker {
 				t.Fatalf("%s event %d leaked from another request: %+v", id, i, ev)
 			}
 			if want := fmt.Sprintf("w%d-%d", g, i); ev.Detail != want {

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # load-smoke: boot a two-worker figuresd fleet and drive a short mixed
-# whole/slice load through it with `figures load`, writing the
+# whole/param load through it with `figures load`, writing the
 # machine-readable summary to BENCH_load.json and asserting the run
 # was healthy: zero errors, non-zero achieved QPS, sane client-side
 # quantiles, per-endpoint p50/p95/p99 on the workers' /stats,
@@ -43,7 +43,7 @@ trap cleanup EXIT
 go build -o "$tmp/figuresd" ./cmd/figuresd
 go build -o "$tmp/figures" ./cmd/figures
 
-# Each worker gets its own artifact cache so the warmup phase warms
+# Each worker gets its own result cache so the warmup phase warms
 # them and the measured phase exercises the read path.
 "$tmp/figuresd" -addr "localhost:$PORT1" -cache-dir "$tmp/cache1" > "$tmp/worker1.log" 2>&1 &
 "$tmp/figuresd" -addr "localhost:$PORT2" -cache-dir "$tmp/cache2" > "$tmp/worker2.log" 2>&1 &
@@ -57,7 +57,7 @@ done
 
 "$tmp/figures" load -addr "localhost:$PORT1,localhost:$PORT2" \
   -qps "$QPS" -duration "$DURATION" -warmup "$WARMUP" \
-  -mix whole:3,slice:1 -experiments E1,E7,E2 -o "$OUT"
+  -mix whole:3,param:1 -param-points E2:k=3 -experiments E1,E7,E2 -o "$OUT"
 
 # The run was healthy…
 jq -e '.errors == 0' "$OUT" > /dev/null
@@ -67,14 +67,14 @@ jq -e '.requests > 0' "$OUT" > /dev/null
 jq -e '.kinds.whole.latency.p50_ms > 0 and
        .kinds.whole.latency.p95_ms >= .kinds.whole.latency.p50_ms and
        .kinds.whole.latency.p99_ms >= .kinds.whole.latency.p95_ms' "$OUT" > /dev/null
-jq -e '.kinds.slice.requests > 0' "$OUT" > /dev/null
+jq -e '.kinds.param.requests > 0' "$OUT" > /dev/null
 # …and the servers expose per-endpoint p50/p95/p99 on /stats.
 for port in "$PORT1" "$PORT2"; do
   curl -fs "http://localhost:$port/stats" | jq -e \
     '.endpoints.experiment.p50_ms > 0 and
      .endpoints.experiment.p95_ms > 0 and
      .endpoints.experiment.p99_ms > 0 and
-     .endpoints.slice.count > 0' > /dev/null
+     .endpoints.param.count > 0' > /dev/null
 done
 
 # Both workers expose Prometheus text exposition on /metrics:
@@ -84,7 +84,7 @@ for port in "$PORT1" "$PORT2"; do
   curl -fs "http://localhost:$port/metrics" > "$tmp/metrics$port.txt"
   grep -Eq '^# TYPE repro_request_duration_seconds histogram$' "$tmp/metrics$port.txt"
   grep -Eq '^# TYPE repro_requests_total counter$' "$tmp/metrics$port.txt"
-  for endpoint in experiment slice; do
+  for endpoint in experiment param; do
     count=$(awk -v ep="endpoint=\"$endpoint\"" \
       '$1 ~ /^repro_request_duration_seconds_count\{/ && index($1, ep) { print $2; exit }' \
       "$tmp/metrics$port.txt")
