@@ -156,18 +156,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// A parameter point names one family and one point of its space;
 	// validation happens here so a bad point fails before any file or
 	// fleet is touched.
-	var fam experiments.Family
 	var ps experiments.ParamSet
 	if *param != "" {
 		if len(ids) != 1 {
 			return fmt.Errorf("-param requires -run naming exactly one parameterized family")
 		}
-		families := experiments.FamiliesFor(testRegistry)
-		var ok bool
-		if fam, ok = families[ids[0]]; !ok {
+		fam, ok := experiments.FamiliesFor(testRegistry)[ids[0]]
+		if !ok {
 			return fmt.Errorf("experiment %q takes no parameters", ids[0])
 		}
-		var err error
 		if ps, err = experiments.ParseParamList(fam, *param); err != nil {
 			return err
 		}
@@ -213,15 +210,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	start := time.Now()
 	var results []experiments.Result
-	switch {
-	case *param != "" && *workers != "":
-		results, err = runShardedParam(shard.SplitList(*workers), fam, ps, opts, stderr, *verbose, *traceOn)
-	case *param != "":
-		results = []experiments.Result{experiments.RunParam(context.Background(), fam, ps, opts)}
-	case *workers != "":
-		results, err = runSharded(shard.SplitList(*workers), ids, opts, stderr, *verbose, *traceOn)
-	default:
-		results, err = experiments.Run(context.Background(), opts)
+	if *workers != "" {
+		results, err = runSharded(shard.SplitList(*workers), ids, ps, opts, stderr, *verbose, *traceOn)
+	} else {
+		results, err = runLocal(ids, ps, opts)
 	}
 	if err != nil {
 		if f != nil {
@@ -279,36 +271,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return experiments.FirstError(results)
 }
 
-// runSharded fans the run out across a figuresd fleet via the shard
-// coordinator, reporting the fleet summary on stderr. opts carries the
-// local-fallback engine configuration (registry, cache, timeout, jobs).
-// With traceOn, a span journal is threaded into the coordinator and
-// each request's ID and timeline are reported after the run.
-func runSharded(fleet, ids []string, opts experiments.Options, stderr io.Writer, verbose, traceOn bool) ([]experiments.Result, error) {
-	return shardRun(fleet, opts, stderr, verbose, traceOn,
-		func(ctx context.Context, coord *shard.Coordinator) ([]experiments.Result, error) {
-			return coord.Run(ctx, ids)
-		})
+// runLocal runs the request in process: the ids at their fixed points
+// through the engine's worker pool, or — for a non-default point — the
+// one id at ps.
+func runLocal(ids []string, ps experiments.ParamSet, opts experiments.Options) ([]experiments.Result, error) {
+	if ps.Canonical() == "" {
+		return experiments.Run(context.Background(), opts)
+	}
+	res, err := experiments.RunPoint(context.Background(), ids[0], ps, opts)
+	return []experiments.Result{res}, err
 }
 
-// runShardedParam evaluates one family at one parameter point across
-// the fleet — the -param -workers path — with the same coordinator
-// wiring, trace reporting, and shard summary as runSharded.
-func runShardedParam(fleet []string, fam experiments.Family, ps experiments.ParamSet, opts experiments.Options, stderr io.Writer, verbose, traceOn bool) ([]experiments.Result, error) {
-	return shardRun(fleet, opts, stderr, verbose, traceOn,
-		func(ctx context.Context, coord *shard.Coordinator) ([]experiments.Result, error) {
-			res, err := coord.RunParam(ctx, fam.ID, ps)
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Result{res}, nil
-		})
-}
-
-// shardRun builds the coordinator, runs do over it, and reports traces
-// and the fleet summary — the shared frame of every sharded mode.
-func shardRun(fleet []string, opts experiments.Options, stderr io.Writer, verbose, traceOn bool,
-	do func(context.Context, *shard.Coordinator) ([]experiments.Result, error)) ([]experiments.Result, error) {
+// runSharded fans the request out across a figuresd fleet via the
+// shard coordinator — the ids at their fixed points, or the one id at
+// a non-default point ps — reporting the fleet summary on stderr. opts
+// carries the local-fallback engine configuration (registry, cache,
+// timeout, jobs). With traceOn, a span journal is threaded into the
+// coordinator and each request's ID and timeline are reported after
+// the run.
+func runSharded(fleet, ids []string, ps experiments.ParamSet, opts experiments.Options, stderr io.Writer, verbose, traceOn bool) ([]experiments.Result, error) {
 	var logf func(format string, args ...any)
 	if verbose {
 		logf = func(format string, args ...any) {
@@ -336,7 +317,14 @@ func shardRun(fleet []string, opts experiments.Options, stderr io.Writer, verbos
 	if err != nil {
 		return nil, err
 	}
-	results, err := do(context.Background(), coord)
+	var results []experiments.Result
+	if ps.Canonical() == "" {
+		results, err = coord.Run(context.Background(), ids)
+	} else {
+		var res experiments.Result
+		res, err = coord.RunOne(context.Background(), ids[0], ps)
+		results = []experiments.Result{res}
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -181,7 +181,6 @@ func newHandler(cacheDir, peers string, timeout time.Duration, logf func(format 
 		st := coord.Stats()
 		logf("figuresd: fronting %d/%d peers (local fallback ready)", st.WorkersHealthy, st.WorkersTotal)
 		opts.Backend = coord.RunOne
-		opts.ParamBackend = coord.RunParam
 	}
 	return server.New(opts), nil
 }

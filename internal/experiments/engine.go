@@ -117,7 +117,7 @@ func Run(ctx context.Context, opts Options) ([]Result, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = runCached(ctx, ids[i], runners[i], opts)
+				results[i] = runCached(ctx, ids[i], "", runners[i], opts)
 			}
 		}()
 	}
@@ -129,20 +129,45 @@ func Run(ctx context.Context, opts Options) ([]Result, error) {
 	return results, nil
 }
 
-// runCached serves one experiment from opts.Cache when possible and
-// runs it (storing a success back) otherwise.
-func runCached(ctx context.Context, id string, r Runner, opts Options) Result {
-	if opts.Cache != nil {
-		if res, ok := opts.Cache.Get(id); ok && res.Err == nil && res.Table != nil {
-			res.ID = id
-			res.Cached = true
-			res.Memo = sched.Stats{} // a hit explores nothing
-			return res
-		}
+// RunPoint executes one request — experiment id at point ps — with
+// the engine's execution contract: cache read-through, panic isolation,
+// timeout. At the default point (the zero or a defaulted ParamSet) it
+// runs the fixed experiment, opts.Registry[id] (or Registry()[id]);
+// at any other point it runs ps's family. Only Registry, Timeout and
+// Cache of opts are consulted. Like Run, it errors only on
+// configuration mistakes: an unknown id, or a ParamSet parsed against
+// another experiment's family.
+func RunPoint(ctx context.Context, id string, ps ParamSet, opts Options) (Result, error) {
+	if err := CheckPoint(id, ps); err != nil {
+		return Result{}, err
+	}
+	reg := opts.Registry
+	if reg == nil {
+		reg = Registry()
+	}
+	r, ok := reg[id]
+	if !ok {
+		return Result{}, fmt.Errorf("experiments: unknown experiment %q", id)
+	}
+	if ps.Canonical() != "" {
+		r = func() (*Table, error) { return ps.fam.Run(ps) }
+	}
+	return runCached(ctx, id, ps.Canonical(), r, opts), nil
+}
+
+// runCached serves one point of an experiment ("" = the fixed point)
+// from opts.Cache when possible and runs it (storing a success back)
+// otherwise — the one cache read-through Run and RunPoint share.
+func runCached(ctx context.Context, id, params string, r Runner, opts Options) Result {
+	if res, ok := CacheGet(opts.Cache, id, params); ok && res.Err == nil && res.Table != nil {
+		res.ID = id
+		res.Cached = true
+		res.Memo = sched.Stats{} // a hit explores nothing
+		return res
 	}
 	res := runOne(ctx, id, r, opts.Timeout)
-	if opts.Cache != nil && res.Err == nil {
-		opts.Cache.Put(id, res) // best-effort; a failed write just means a future miss
+	if res.Err == nil {
+		CachePut(opts.Cache, id, params, res) // best-effort; a failed write just means a future miss
 	}
 	return res
 }

@@ -1,25 +1,24 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"math"
 	"net/url"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-
-	"repro/internal/sched"
 )
 
 // This file is the parameterized-experiment seam. The paper's theorems
 // are families over (k, inputs, choice size, ...); the fixed E1..E16
 // registry pins one point per family. A Family lifts that point into a
-// queryable surface: a validated parameter schema with types, ranges,
+// queryable surface: a validated integer parameter schema with ranges
 // and defaults, a canonical parameter rendering (so ?i0=0&k=7 and
 // ?k=7&i0=0 are one cache entry and one singleflight key), and a Run
-// evaluated at any point of the space.
+// evaluated at any point of the space. A request is one pair, an
+// experiment id and a ParamSet, and RunPoint runs it: the default point
+// is the fixed experiment itself, so there is one execution path for
+// both.
 //
 // It is also where cache identity is computed per experiment space
 // rather than registry-wide: SpaceVersion(id) extends RegistryVersion
@@ -29,35 +28,16 @@ import (
 // registry version — byte-identical cache keys, so stores written
 // before this seam existed stay warm.
 
-// ParamKind is a parameter's wire type.
-type ParamKind int
-
-const (
-	// ParamInt is an integer-valued parameter.
-	ParamInt ParamKind = iota
-	// ParamFloat is a float-valued parameter.
-	ParamFloat
-)
-
-// String names the kind for schemas and error messages.
-func (k ParamKind) String() string {
-	if k == ParamInt {
-		return "int"
-	}
-	return "float"
-}
-
-// ParamSpec declares one parameter of a family: name, type, inclusive
-// range, default (in canonical rendering), and a one-line doc string
-// served on the experiment index.
+// ParamSpec declares one integer parameter of a family: name,
+// inclusive range, default (in canonical rendering), and a one-line
+// doc string served on the experiment index.
 type ParamSpec struct {
 	Name string
-	Kind ParamKind
 	// Default is the parameter's value at the family's fixed point, in
 	// canonical rendering; a request omitting the parameter gets it.
 	Default string
 	// Min and Max bound the value inclusively.
-	Min, Max float64
+	Min, Max int
 	Doc      string
 }
 
@@ -77,12 +57,8 @@ type Family struct {
 	// fingerprints move (SpaceVersion), every other family stays warm.
 	Version string
 	// Params is the parameter schema, in any order (canonicalization
-	// sorts by name).
+	// sorts by name). Every point the schema accepts must run.
 	Params []ParamSpec
-	// Check, when non-nil, validates cross-parameter constraints that
-	// per-spec ranges cannot express (e.g. an input bounded by another
-	// parameter). Errors are field-level client messages.
-	Check func(ps ParamSet) error
 	// Run evaluates the family at one validated parameter point.
 	Run func(ps ParamSet) (*Table, error)
 }
@@ -164,19 +140,21 @@ func SpaceVersion(id string) string {
 }
 
 // ParamSet is one validated point of a family's parameter space, with
-// every parameter present (defaults filled) in canonical order. The
-// zero value is the no-parameters point of an unparameterized request;
-// its Canonical and Query are "".
+// every parameter present (defaults filled) in canonical order, and the
+// family it was parsed against — so whoever runs the point needs no
+// family map. ParseParams is its only constructor. The zero value is
+// the no-parameters point of an unparameterized request; like every
+// default point, it names the fixed experiment, and its Canonical and
+// Query are "".
 type ParamSet struct {
-	family string
+	fam *Family
 	// canonical is the sorted-by-name "i0=0,i1=1,k=7" rendering — the
 	// cache and singleflight identity of the point — and "" at the
 	// family's default point, which makes a spelled-out default request
 	// (?k=4) the same identity as the fixed experiment.
 	canonical string
 	order     []string
-	render    map[string]string
-	vals      map[string]float64
+	vals      map[string]int
 }
 
 // Canonical returns the point's identity string: parameters sorted by
@@ -193,23 +171,34 @@ func (ps ParamSet) Query() string {
 	}
 	parts := make([]string, len(ps.order))
 	for i, name := range ps.order {
-		parts[i] = url.QueryEscape(name) + "=" + url.QueryEscape(ps.render[name])
+		parts[i] = url.QueryEscape(name) + "=" + strconv.Itoa(ps.vals[name])
 	}
 	return strings.Join(parts, "&")
 }
 
-// Int returns an integer parameter's value; 0 for an unknown name.
-func (ps ParamSet) Int(name string) int { return int(ps.vals[name]) }
-
-// Float returns a parameter's value; 0 for an unknown name.
-func (ps ParamSet) Float(name string) float64 { return ps.vals[name] }
+// Int returns a parameter's value; 0 for an unknown name.
+func (ps ParamSet) Int(name string) int { return ps.vals[name] }
 
 // String renders the point for logs and trace lines.
 func (ps ParamSet) String() string {
-	if ps.canonical == "" {
-		return ps.family + " (defaults)"
+	var id string
+	if ps.fam != nil {
+		id = ps.fam.ID
 	}
-	return ps.family + "?" + ps.canonical
+	if ps.canonical == "" {
+		return id + " (defaults)"
+	}
+	return id + "?" + ps.canonical
+}
+
+// CheckPoint reports a configuration error when ps was parsed against
+// another experiment's family than id's. The zero ParamSet fits every
+// id.
+func CheckPoint(id string, ps ParamSet) error {
+	if ps.fam != nil && ps.fam.ID != id {
+		return fmt.Errorf("experiments: parameters of %s given for %s", ps.fam.ID, id)
+	}
+	return nil
 }
 
 // paramNames lists a family's parameter names in sorted order, for
@@ -223,48 +212,26 @@ func paramNames(f Family) string {
 	return strings.Join(names, ", ")
 }
 
-// renderValue canonicalizes one parsed value: integers without
-// exponent or sign noise, floats in shortest round-trip form — so
-// "0.010", "1e-2", and "0.01" are one cache identity.
-func renderValue(kind ParamKind, v float64) string {
-	if kind == ParamInt {
-		return strconv.FormatInt(int64(v), 10)
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
 // parseValue parses and range-checks one parameter value against its
 // spec. Errors are field-level client messages.
-func parseValue(spec ParamSpec, raw string) (float64, error) {
-	var v float64
-	switch spec.Kind {
-	case ParamInt:
-		n, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("parameter %q: %q is not an integer", spec.Name, raw)
-		}
-		v = float64(n)
-	default:
-		f, err := strconv.ParseFloat(raw, 64)
-		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
-			return 0, fmt.Errorf("parameter %q: %q is not a finite number", spec.Name, raw)
-		}
-		v = f
+func parseValue(spec ParamSpec, raw string) (int, error) {
+	n, err := strconv.Atoi(raw)
+	if err != nil {
+		return 0, fmt.Errorf("parameter %q: %q is not an integer", spec.Name, raw)
 	}
-	if v < spec.Min || v > spec.Max {
-		return 0, fmt.Errorf("parameter %q: %s out of range [%s, %s]",
-			spec.Name, renderValue(spec.Kind, v), renderValue(spec.Kind, spec.Min), renderValue(spec.Kind, spec.Max))
+	if n < spec.Min || n > spec.Max {
+		return 0, fmt.Errorf("parameter %q: %d out of range [%d, %d]", spec.Name, n, spec.Min, spec.Max)
 	}
-	return v, nil
+	return n, nil
 }
 
 // ParseParams validates one request's parameters against a family's
 // schema and returns the canonical point: unknown names, repeated
-// names, unparsable or out-of-range values, and Check violations are
-// field-level errors (the 400 body internal/server returns); missing
-// parameters take their defaults. Parameter order never matters — the
-// canonical rendering is sorted by name — so every spelling of a point
-// shares one cache entry and one singleflight key.
+// names, and unparsable or out-of-range values are field-level errors
+// (the 400 body internal/server returns); missing parameters take
+// their defaults. Parameter order never matters — the canonical
+// rendering is sorted by name — so every spelling of a point shares
+// one cache entry and one singleflight key.
 func ParseParams(f Family, q url.Values) (ParamSet, error) {
 	specs := make(map[string]ParamSpec, len(f.Params))
 	for _, spec := range f.Params {
@@ -279,11 +246,7 @@ func ParseParams(f Family, q url.Values) (ParamSet, error) {
 			return ParamSet{}, fmt.Errorf("parameter %q given %d times, want once", spec.Name, len(vals))
 		}
 	}
-	ps := ParamSet{
-		family: f.ID,
-		render: make(map[string]string, len(f.Params)),
-		vals:   make(map[string]float64, len(f.Params)),
-	}
+	ps := ParamSet{fam: &f, vals: make(map[string]int, len(f.Params))}
 	defaulted := true
 	for _, spec := range f.Params {
 		raw, given := spec.Default, false
@@ -297,22 +260,15 @@ func ParseParams(f Family, q url.Values) (ParamSet, error) {
 			}
 			return ParamSet{}, err
 		}
-		render := renderValue(spec.Kind, v)
 		ps.order = append(ps.order, spec.Name)
-		ps.render[spec.Name] = render
 		ps.vals[spec.Name] = v
-		defaulted = defaulted && render == spec.Default
+		defaulted = defaulted && strconv.Itoa(v) == spec.Default
 	}
 	sort.Strings(ps.order)
-	if f.Check != nil {
-		if err := f.Check(ps); err != nil {
-			return ParamSet{}, err
-		}
-	}
 	if !defaulted {
 		pairs := make([]string, len(ps.order))
 		for i, name := range ps.order {
-			pairs[i] = name + "=" + ps.render[name]
+			pairs[i] = name + "=" + strconv.Itoa(ps.vals[name])
 		}
 		ps.canonical = strings.Join(pairs, ",")
 	}
@@ -345,10 +301,9 @@ func ParseParamList(f Family, s string) (ParamSet, error) {
 // ParamCache is the parameterized extension of Cache: a store that
 // keys whole results by experiment id plus canonical parameter
 // rendering. internal/cache.Store implements it; callers holding a
-// plain Cache type-assert, so a store without parameter support
-// degrades to cold non-default points, never to an error. The ""
-// params key is the default point and aliases Get/Put — one entry
-// serves the fixed experiment and every spelling of its defaults.
+// plain Cache go through CacheGet/CachePut, so a store without
+// parameter support degrades to cold non-default points, never to an
+// error.
 type ParamCache interface {
 	Cache
 	// GetParam returns the stored result for one parameter point of an
@@ -358,56 +313,35 @@ type ParamCache interface {
 	PutParam(id, params string, r Result) error
 }
 
-// CacheGet consults c for one parameter point of an experiment ("" =
-// the fixed point): through GetParam when c is a ParamCache, degrading
-// a plain Cache to the fixed point only, and missing on a nil c.
+// CacheGet consults c for one parameter point of an experiment: the
+// default point ("") always through Get — so a store that wraps a
+// ParamCache and overrides only Get/Put still sees every fixed
+// lookup — a non-default point through GetParam when c is a
+// ParamCache, and a miss otherwise (or on a nil c).
 func CacheGet(c Cache, id, params string) (Result, bool) {
-	switch pc := c.(type) {
-	case nil:
-		return Result{}, false
-	case ParamCache:
-		return pc.GetParam(id, params)
-	default:
-		if params == "" {
-			return c.Get(id)
-		}
+	if c == nil {
 		return Result{}, false
 	}
+	if params == "" {
+		return c.Get(id)
+	}
+	if pc, ok := c.(ParamCache); ok {
+		return pc.GetParam(id, params)
+	}
+	return Result{}, false
 }
 
 // CachePut stores one parameter point's result in c, best-effort, with
-// the same degradation as CacheGet.
+// the same routing as CacheGet.
 func CachePut(c Cache, id, params string, r Result) {
-	switch pc := c.(type) {
-	case nil:
-	case ParamCache:
+	if c == nil {
+		return
+	}
+	if params == "" {
+		c.Put(id, r)
+	} else if pc, ok := c.(ParamCache); ok {
 		pc.PutParam(id, params, r)
-	default:
-		if params == "" {
-			c.Put(id, r)
-		}
 	}
-}
-
-// RunParam evaluates one family at one validated point with the
-// engine's execution contract — cache read-through (ParamCache when
-// the store supports it), panic isolation, timeout — and returns the
-// point's Result. Only Timeout and Cache of opts are consulted: a
-// parameter point is a single execution, so Jobs/IDs do not apply.
-func RunParam(ctx context.Context, f Family, ps ParamSet, opts Options) Result {
-	id := f.ID
-	params := ps.Canonical()
-	if res, ok := CacheGet(opts.Cache, id, params); ok && res.Err == nil && res.Table != nil {
-		res.ID = id
-		res.Cached = true
-		res.Memo = sched.Stats{} // a hit explores nothing
-		return res
-	}
-	res := runOne(ctx, id, func() (*Table, error) { return f.Run(ps) }, opts.Timeout)
-	if res.Err == nil {
-		CachePut(opts.Cache, id, params, res) // best-effort, like the engine's Put
-	}
-	return res
 }
 
 // --- the registered families ---
@@ -420,11 +354,11 @@ func e2Family() Family {
 		ID:  "E2",
 		Doc: "exhaustive Algorithm 1 sweep over k and the input registers",
 		Params: []ParamSpec{
-			{Name: "i0", Kind: ParamInt, Default: "0", Min: 0, Max: 1, Doc: "process 0's input register"},
-			{Name: "i1", Kind: ParamInt, Default: "1", Min: 0, Max: 1, Doc: "process 1's input register"},
+			{Name: "i0", Default: "0", Min: 0, Max: 1, Doc: "process 0's input register"},
+			{Name: "i1", Default: "1", Min: 0, Max: 1, Doc: "process 1's input register"},
 			// k=6's tree is ~30x k=4's; the cap keeps one request from
 			// monopolizing a worker past any realistic timeout.
-			{Name: "k", Kind: ParamInt, Default: "4", Min: 1, Max: 6, Doc: "ε-agreement parameter (ε = 1/(2k+1))"},
+			{Name: "k", Default: "4", Min: 1, Max: 6, Doc: "ε-agreement parameter (ε = 1/(2k+1))"},
 		},
 		Run: func(ps ParamSet) (*Table, error) {
 			return runE2At(ps.Int("k"), e2InputsOf(ps))
@@ -445,19 +379,11 @@ func e15Family() Family {
 		ID:  "E15",
 		Doc: "exhaustive Algorithm 2 validation over the choice task size and inputs",
 		Params: []ParamSpec{
-			{Name: "c", Kind: ParamInt, Default: "2", Min: 2, Max: 3, Doc: "choice task value count"},
-			{Name: "i0", Kind: ParamInt, Default: "0", Min: 0, Max: 2, Doc: "process 0's input (0..c-1)"},
-			{Name: "i1", Kind: ParamInt, Default: "1", Min: 0, Max: 2, Doc: "process 1's input (0..c-1)"},
-		},
-		Check: func(ps ParamSet) error {
-			c := ps.Int("c")
-			for _, name := range []string{"i0", "i1"} {
-				if ps.Int(name) >= c {
-					return fmt.Errorf("parameter %q: %d out of range for the %d-value choice task (want 0..%d)",
-						name, ps.Int(name), c, c-1)
-				}
-			}
-			return nil
+			{Name: "c", Default: "2", Min: 2, Max: 3, Doc: "choice task value count"},
+			// The choice task's inputs are {0,1}² at every c; only its
+			// output set grows with c.
+			{Name: "i0", Default: "0", Min: 0, Max: 1, Doc: "process 0's input (0 or 1)"},
+			{Name: "i1", Default: "1", Min: 0, Max: 1, Doc: "process 1's input (0 or 1)"},
 		},
 		Run: func(ps ParamSet) (*Table, error) {
 			return runE15At(ps.Int("c"), e15InputOf(ps))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/url"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -95,7 +96,7 @@ func TestParseParamsValidation(t *testing.T) {
 		{"below min", e2, "k=0", `parameter "k"`},
 		{"above max", e2, "k=7", `parameter "k"`},
 		{"bad int input", e2, "i0=x", `parameter "i0"`},
-		{"cross check", e15, "c=2&i1=2", `parameter "i1"`},
+		{"e15 input above one", e15, "c=3&i1=2", `parameter "i1"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -160,7 +161,7 @@ func TestDefaultPointAliasesFixed(t *testing.T) {
 
 func TestParamSetQueryRoundTrip(t *testing.T) {
 	fam := Families()["E15"]
-	ps, err := ParseParamList(fam, "c=3,i0=2")
+	ps, err := ParseParamList(fam, "c=3,i0=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestParamSetQueryRoundTrip(t *testing.T) {
 	if again.Canonical() != ps.Canonical() {
 		t.Fatalf("Query round trip moved the point: %q vs %q", again.Canonical(), ps.Canonical())
 	}
-	if got, want := ps.Canonical(), "c=3,i0=2,i1=1"; got != want {
+	if got, want := ps.Canonical(), "c=3,i0=1,i1=1"; got != want {
 		t.Fatalf("canonical = %q, want %q", got, want)
 	}
 }
@@ -232,7 +233,7 @@ func TestE15FamilyDifferentialDefaultPoint(t *testing.T) {
 }
 
 // TestRunParamNonDefaultPoint exercises the off-default surface the
-// fixed registry never reached: a cheap k=1 sweep through RunParam
+// fixed registry never reached: a cheap k=1 sweep through RunPoint
 // with a caching store, warm on the second call.
 func TestRunParamNonDefaultPoint(t *testing.T) {
 	fam := Families()["E2"]
@@ -241,15 +242,15 @@ func TestRunParamNonDefaultPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newMapParamCache()
-	res := RunParam(context.Background(), fam, ps, Options{Cache: c})
-	if res.Err != nil {
-		t.Fatal(res.Err)
+	res, err := RunPoint(context.Background(), "E2", ps, Options{Cache: c})
+	if err != nil || res.Err != nil {
+		t.Fatal(err, res.Err)
 	}
 	if res.Cached {
 		t.Fatal("first evaluation reported cached")
 	}
-	again := RunParam(context.Background(), fam, ps, Options{Cache: c})
-	if again.Err != nil || !again.Cached {
+	again, err := RunPoint(context.Background(), "E2", ps, Options{Cache: c})
+	if err != nil || again.Err != nil || !again.Cached {
 		t.Fatalf("second evaluation: cached=%v err=%v", again.Cached, again.Err)
 	}
 	if !reflect.DeepEqual(res.Table, again.Table) {
@@ -286,7 +287,7 @@ func (c *mapParamCache) PutParam(id, params string, r Result) error {
 }
 
 // TestRunParamDefaultPointSharesFixedEntry: at the default point
-// RunParam reads and writes the fixed experiment's cache slot, so a
+// RunPoint reads and writes the fixed experiment's cache slot, so a
 // parameterized request warms (and is warmed by) plain runs.
 func TestRunParamDefaultPointSharesFixedEntry(t *testing.T) {
 	fam := Families()["E2"]
@@ -297,8 +298,100 @@ func TestRunParamDefaultPointSharesFixedEntry(t *testing.T) {
 	c := newMapParamCache()
 	seeded := Result{ID: "E2", Table: &Table{ID: "E2", Title: "seeded"}}
 	c.Put("E2", seeded)
-	res := RunParam(context.Background(), fam, ps, Options{Cache: c})
-	if res.Err != nil || !res.Cached || res.Table.Title != "seeded" {
+	res, err := RunPoint(context.Background(), "E2", ps, Options{Cache: c})
+	if err != nil || res.Err != nil || !res.Cached || res.Table.Title != "seeded" {
 		t.Fatalf("default point missed the fixed entry: cached=%v table=%+v err=%v", res.Cached, res.Table, res.Err)
+	}
+}
+
+// getPutCounter wraps a ParamCache and overrides only Get and Put, the
+// way a tracing wrapper around cache.Store does: the wrapper is a
+// ParamCache through embedding, so only routing the default point
+// through Get/Put lets it see every fixed lookup.
+type getPutCounter struct {
+	*mapParamCache
+	gets, puts int
+}
+
+func (c *getPutCounter) Get(id string) (Result, bool) {
+	c.gets++
+	return c.mapParamCache.Get(id)
+}
+
+func (c *getPutCounter) Put(id string, r Result) error {
+	c.puts++
+	return c.mapParamCache.Put(id, r)
+}
+
+// TestCacheDefaultPointUsesGetPut: CacheGet/CachePut send the default
+// point ("") through Get/Put even when the store is a ParamCache, and
+// a non-default point through GetParam/PutParam.
+func TestCacheDefaultPointUsesGetPut(t *testing.T) {
+	c := &getPutCounter{mapParamCache: newMapParamCache()}
+	r := Result{ID: "E2", Table: &Table{ID: "E2"}}
+	CachePut(c, "E2", "", r)
+	if _, ok := CacheGet(c, "E2", ""); !ok {
+		t.Fatal("default point missed after CachePut")
+	}
+	if c.gets != 1 || c.puts != 1 {
+		t.Fatalf("default point bypassed the wrapper: gets=%d puts=%d, want 1 and 1", c.gets, c.puts)
+	}
+	CachePut(c, "E2", "k=3", r)
+	if _, ok := CacheGet(c, "E2", "k=3"); !ok {
+		t.Fatal("parameter point missed after CachePut")
+	}
+	if c.gets != 1 || c.puts != 1 || len(c.param) != 1 {
+		t.Fatalf("parameter point took the fixed path: gets=%d puts=%d param entries=%d", c.gets, c.puts, len(c.param))
+	}
+}
+
+// TestRunPointConfigErrors: an unknown id and a point of another
+// experiment's family are configuration errors, not failed results.
+func TestRunPointConfigErrors(t *testing.T) {
+	ps, err := ParseParamList(Families()["E2"], "k=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunPoint(context.Background(), "E15", ps, Options{}); err == nil ||
+		!strings.Contains(err.Error(), "parameters of E2 given for E15") {
+		t.Errorf("mismatched point: err = %v", err)
+	}
+	if _, err := RunPoint(context.Background(), "E99", ParamSet{}, Options{}); err == nil ||
+		!strings.Contains(err.Error(), "unknown experiment") {
+		t.Errorf("unknown id: err = %v", err)
+	}
+}
+
+// TestEverySchemaPointRuns: every point the E2 and E15 schemas accept
+// runs without error — a point Algorithm 1 or 2 cannot run must be
+// outside the schema, where it is a field-level 400 that never runs.
+func TestEverySchemaPointRuns(t *testing.T) {
+	for id, fam := range Families() {
+		points := []url.Values{{}}
+		for _, spec := range fam.Params {
+			var next []url.Values
+			for _, q := range points {
+				for v := spec.Min; v <= spec.Max; v++ {
+					nq := url.Values{}
+					for k, vs := range q {
+						nq[k] = vs
+					}
+					nq.Set(spec.Name, strconv.Itoa(v))
+					next = append(next, nq)
+				}
+			}
+			points = next
+		}
+		for _, q := range points {
+			ps, err := ParseParams(fam, q)
+			if err != nil {
+				t.Fatalf("%s?%s: %v", id, q.Encode(), err)
+			}
+			res, err := RunPoint(context.Background(), id, ps, Options{})
+			if err != nil || res.Err != nil {
+				t.Errorf("%s?%s: %v %v", id, q.Encode(), err, res.Err)
+			}
+		}
+		t.Logf("%s: %d points", id, len(points))
 	}
 }

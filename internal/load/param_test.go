@@ -20,7 +20,7 @@ func loadFamilies(id string) map[string]experiments.Family {
 		id: {
 			ID: id,
 			Params: []experiments.ParamSpec{
-				{Name: "x", Kind: experiments.ParamInt, Default: "1", Min: 0, Max: 9},
+				{Name: "x", Default: "1", Min: 0, Max: 9},
 			},
 			Run: func(ps experiments.ParamSet) (*experiments.Table, error) {
 				return &experiments.Table{ID: id}, nil

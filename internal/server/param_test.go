@@ -9,14 +9,16 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/experiments"
 )
 
 // paramServer stands up a server over one synthetic parameterized
-// family (integer x, default 1) and returns it with the point
-// execution counter.
+// family (integers x, default 1, and eps, default 5) and returns it
+// with the point execution counter. The point x=9 is slow: it sleeps
+// past any test timeout.
 func paramServer(t *testing.T, opts Options) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	execs := new(atomic.Int64)
@@ -24,14 +26,17 @@ func paramServer(t *testing.T, opts Options) (*httptest.Server, *atomic.Int64) {
 		ID:  "P1",
 		Doc: "synthetic parameterized family",
 		Params: []experiments.ParamSpec{
-			{Name: "x", Kind: experiments.ParamInt, Default: "1", Min: 0, Max: 9, Doc: "the point"},
-			{Name: "eps", Kind: experiments.ParamFloat, Default: "0.5", Min: 0, Max: 1, Doc: "a float knob"},
+			{Name: "x", Default: "1", Min: 0, Max: 9, Doc: "the point"},
+			{Name: "eps", Default: "5", Min: 0, Max: 10, Doc: "a second knob"},
 		},
 		Run: func(ps experiments.ParamSet) (*experiments.Table, error) {
 			execs.Add(1)
+			if ps.Int("x") == 9 {
+				time.Sleep(10 * time.Second)
+			}
 			return &experiments.Table{
 				ID:      "P1",
-				Title:   fmt.Sprintf("point x=%d eps=%g", ps.Int("x"), ps.Float("eps")),
+				Title:   fmt.Sprintf("point x=%d eps=%d", ps.Int("x"), ps.Int("eps")),
 				Headers: []string{"x"},
 				Rows:    [][]string{{fmt.Sprint(ps.Int("x"))}},
 			}, nil
@@ -50,7 +55,7 @@ func paramServer(t *testing.T, opts Options) (*httptest.Server, *atomic.Int64) {
 	return ts, execs
 }
 
-// TestParamEndpointOrderIndependent: ?x=3&eps=0.25 and ?eps=0.25&x=3
+// TestParamEndpointOrderIndependent: ?x=3&eps=2 and ?eps=2&x=3
 // are one point — identical bytes and a single execution (the second
 // request is a cache hit under the canonical identity).
 func TestParamEndpointOrderIndependent(t *testing.T) {
@@ -59,15 +64,15 @@ func TestParamEndpointOrderIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts, execs := paramServer(t, Options{Cache: store})
-	code1, body1 := get(t, ts, "/experiments/P1?x=3&eps=0.25")
-	code2, body2 := get(t, ts, "/experiments/P1?eps=0.25&x=3")
+	code1, body1 := get(t, ts, "/experiments/P1?x=3&eps=2")
+	code2, body2 := get(t, ts, "/experiments/P1?eps=2&x=3")
 	if code1 != http.StatusOK || code2 != http.StatusOK {
 		t.Fatalf("codes = %d, %d", code1, code2)
 	}
 	if body1 != body2 {
 		t.Fatalf("parameter order changed the bytes:\n%s\nvs\n%s", body1, body2)
 	}
-	if !strings.Contains(body1, "point x=3 eps=0.25") {
+	if !strings.Contains(body1, "point x=3 eps=2") {
 		t.Fatalf("body = %q", body1)
 	}
 	if n := execs.Load(); n != 1 {
@@ -85,7 +90,7 @@ func TestParamEndpointDefaultAliasesFixed(t *testing.T) {
 	}
 	ts, execs := paramServer(t, Options{Cache: store})
 	_, fixed := get(t, ts, "/experiments/P1")
-	_, spelled := get(t, ts, "/experiments/P1?x=1&eps=0.5")
+	_, spelled := get(t, ts, "/experiments/P1?x=1&eps=5")
 	if fixed != spelled {
 		t.Fatalf("spelled-out defaults differ from the fixed experiment:\n%s\nvs\n%s", fixed, spelled)
 	}
@@ -105,7 +110,7 @@ func TestParamEndpointValidation(t *testing.T) {
 		{"/experiments/P1?q=1", `unknown parameter "q"`},
 		{"/experiments/P1?x=11", `parameter "x"`},
 		{"/experiments/P1?x=1.5", `parameter "x"`},
-		{"/experiments/P1?eps=2", `parameter "eps"`},
+		{"/experiments/P1?eps=11", `parameter "eps"`},
 		{"/experiments/P1?x=1&x=2", `parameter "x"`},
 	}
 	for _, tc := range cases {
@@ -186,7 +191,7 @@ func TestIndexListsFamilies(t *testing.T) {
 	if len(fam.Params) != 2 || fam.Params[0].Name != "eps" || fam.Params[1].Name != "x" {
 		t.Fatalf("params = %+v, want eps then x (sorted)", fam.Params)
 	}
-	if fam.Params[0].Kind != "float" || fam.Params[1].Kind != "int" {
+	if fam.Params[0].Kind != "int" || fam.Params[1].Kind != "int" {
 		t.Fatalf("kinds = %+v", fam.Params)
 	}
 	if fam.SpaceVersion == "" {
@@ -194,13 +199,13 @@ func TestIndexListsFamilies(t *testing.T) {
 	}
 }
 
-// TestParamBackendRoutes: with a ParamBackend configured (the -peers
+// TestBackendRoutesParamPoints: with a Backend configured (the -peers
 // deployment), non-default points go through it, not the local engine.
-func TestParamBackendRoutes(t *testing.T) {
+func TestBackendRoutesParamPoints(t *testing.T) {
 	var backendCalls atomic.Int64
 	var backendParams string
 	ts, execs := paramServer(t, Options{
-		ParamBackend: func(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error) {
+		Backend: func(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error) {
 			backendCalls.Add(1)
 			backendParams = ps.Canonical()
 			return experiments.Result{ID: id, Table: &experiments.Table{ID: id, Title: "from backend"}}, nil
@@ -213,8 +218,48 @@ func TestParamBackendRoutes(t *testing.T) {
 	if backendCalls.Load() != 1 || execs.Load() != 0 {
 		t.Fatalf("backend calls = %d, local executions = %d", backendCalls.Load(), execs.Load())
 	}
-	if backendParams != "eps=0.5,x=4" {
+	if backendParams != "eps=5,x=4" {
 		t.Fatalf("backend saw params %q", backendParams)
+	}
+}
+
+// TestParamPointCooldown: a timed-out non-default point serves its
+// recorded failure inside the cooldown window without re-running,
+// under every spelling of the point, and the window is the point's
+// alone: the fixed experiment still runs.
+func TestParamPointCooldown(t *testing.T) {
+	ts, execs := paramServer(t, Options{Timeout: 300 * time.Millisecond})
+	for _, path := range []string{"/experiments/P1?x=9", "/experiments/P1?x=9", "/experiments/P1?eps=5&x=9"} {
+		status, body := get(t, ts, path)
+		if status != http.StatusInternalServerError || !strings.Contains(body, "timed out") {
+			t.Fatalf("GET %s = %d %q, want 500 with the timeout error", path, status, body)
+		}
+	}
+	if n := execs.Load(); n != 1 {
+		t.Fatalf("executions = %d, want 1 (retries inside the cooldown must not re-run the point)", n)
+	}
+	if status, body := get(t, ts, "/experiments/P1"); status != http.StatusOK || !strings.Contains(body, "point x=1") {
+		t.Fatalf("fixed experiment during the point's cooldown = %d %q", status, body)
+	}
+	if n := execs.Load(); n != 2 {
+		t.Fatalf("executions = %d, want 2 (the fixed experiment is not cooled down)", n)
+	}
+}
+
+// TestE15PointOutsideSchemaIs400: the choice task's inputs are 0..1 at
+// every size, so an input of 2 is a field-level 400 that never runs —
+// not a 500 from Algorithm 2 finding no path for it.
+func TestE15PointOutsideSchemaIs400(t *testing.T) {
+	ts := httptest.NewServer(New(Options{}))
+	defer ts.Close()
+	for _, path := range []string{"/experiments/E15?c=3&i1=2", "/experiments/E15?c=3&i0=2"} {
+		status, body := get(t, ts, path)
+		if status != http.StatusBadRequest || !strings.Contains(body, "out of range") {
+			t.Errorf("GET %s = %d %q, want 400 out of range", path, status, body)
+		}
+	}
+	if st := getStats(t, ts); st.Requests != 0 {
+		t.Errorf("rejected points counted %d executions", st.Requests)
 	}
 }
 

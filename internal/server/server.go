@@ -15,9 +15,13 @@
 //   - optional cache backing (internal/cache): warm experiments are
 //     served from disk without executing anything.
 //
-// Execution is pluggable through Options.Backend: cmd/figuresd -peers
-// installs a shard.Coordinator there, turning one daemon into the
-// front door of a fleet while keeping every serving-layer guarantee.
+// A request is one pair, an experiment id and a parameter point
+// (experiments.ParamSet); the default point is the fixed experiment,
+// and both run down one path, experiments.RunPoint. Execution is
+// pluggable through Options.Backend, which takes the same pair:
+// cmd/figuresd -peers installs a shard.Coordinator there, turning one
+// daemon into the front door of a fleet for fixed experiments and
+// parameter points alike while keeping every serving-layer guarantee.
 package server
 
 import (
@@ -65,20 +69,14 @@ type Options struct {
 	// DefaultTimeout, negative means no limit.
 	Timeout time.Duration
 	// Backend, when non-nil, replaces the in-process engine for
-	// experiment execution: the singleflight, detached timeout (via
-	// the context's deadline), and cooldown still apply, but the
-	// result comes from the backend — cmd/figuresd -peers wires a
-	// shard coordinator in here so one daemon fronts a fleet. A
-	// backend owns its own caching; Options.Cache is not consulted
-	// around it.
-	Backend func(ctx context.Context, id string) (experiments.Result, error)
-	// ParamBackend, when non-nil, replaces in-process evaluation of
-	// parameterized points (GET /experiments/{family}?k=...) the way
-	// Backend replaces fixed experiments: cmd/figuresd -peers wires
-	// shard.Coordinator.RunParam in here so non-default points fan out
-	// across the fleet too. Default-point requests never reach it —
-	// they alias the fixed experiment and follow Backend.
-	ParamBackend func(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error)
+	// experiment execution — the fixed experiment (the default point,
+	// Canonical "") and every parameter point alike: the singleflight,
+	// detached timeout (via the context's deadline), and cooldown
+	// still apply, but the result comes from the backend.
+	// cmd/figuresd -peers wires shard.Coordinator.RunOne in here so
+	// one daemon fronts a fleet. A backend owns its own caching;
+	// Options.Cache is not consulted around it.
+	Backend func(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error)
 	// Families maps experiment ids to their parameterized spaces,
 	// enabling GET /experiments/{family}?param=... nil means
 	// experiments.FamiliesFor(Registry) — the real families when the
@@ -102,17 +100,16 @@ type Options struct {
 //	GET /healthz                             liveness probe
 //	GET /stats                               operational counters (JSON)
 type Server struct {
-	reg          map[string]experiments.Runner
-	ids          []string
-	cache        experiments.Cache
-	timeout      time.Duration
-	backend      func(ctx context.Context, id string) (experiments.Result, error)
-	paramBackend func(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error)
-	families     map[string]experiments.Family
-	journal      *trace.Journal
-	logf         func(format string, args ...any)
-	flights      flightGroup
-	mux          *http.ServeMux
+	reg      map[string]experiments.Runner
+	ids      []string
+	cache    experiments.Cache
+	timeout  time.Duration
+	backend  func(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error)
+	families map[string]experiments.Family
+	journal  *trace.Journal
+	logf     func(format string, args ...any)
+	flights  flightGroup
+	mux      *http.ServeMux
 
 	mu        sync.Mutex
 	cooldowns map[string]cooldownEntry
@@ -160,18 +157,17 @@ func New(opts Options) *Server {
 		journal = trace.NewJournal(0, 0)
 	}
 	s := &Server{
-		reg:          reg,
-		ids:          ids,
-		cache:        opts.Cache,
-		timeout:      timeout,
-		backend:      opts.Backend,
-		paramBackend: opts.ParamBackend,
-		families:     families,
-		journal:      journal,
-		logf:         logf,
-		mux:          http.NewServeMux(),
-		cooldowns:    make(map[string]cooldownEntry),
-		perExp:       make(map[string]*expStat),
+		reg:       reg,
+		ids:       ids,
+		cache:     opts.Cache,
+		timeout:   timeout,
+		backend:   opts.Backend,
+		families:  families,
+		journal:   journal,
+		logf:      logf,
+		mux:       http.NewServeMux(),
+		cooldowns: make(map[string]cooldownEntry),
+		perExp:    make(map[string]*expStat),
 		endpointLat: map[string]*hist.Histogram{
 			EndpointExperiment: hist.New(),
 			EndpointParam:      hist.New(),
@@ -214,14 +210,15 @@ type indexFamily struct {
 	Params       []indexParam `json:"params"`
 }
 
-// indexParam is one parameter's published schema.
+// indexParam is one parameter's published schema. Every parameter is an
+// integer; Kind says so on the wire for clients that read the schema.
 type indexParam struct {
-	Name    string  `json:"name"`
-	Kind    string  `json:"kind"`
-	Default string  `json:"default"`
-	Min     float64 `json:"min"`
-	Max     float64 `json:"max"`
-	Doc     string  `json:"doc,omitempty"`
+	Name    string `json:"name"`
+	Kind    string `json:"kind"`
+	Default string `json:"default"`
+	Min     int    `json:"min"`
+	Max     int    `json:"max"`
+	Doc     string `json:"doc,omitempty"`
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -237,7 +234,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 			for _, spec := range fam.Params {
 				entry.Params = append(entry.Params, indexParam{
 					Name:    spec.Name,
-					Kind:    spec.Kind.String(),
+					Kind:    "int",
 					Default: spec.Default,
 					Min:     spec.Min,
 					Max:     spec.Max,
@@ -327,16 +324,12 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 
 	s.requests.Add(1)
 	s.inFlight.Add(1)
-	var res experiments.Result
-	var shared bool
+	res, shared, err := s.execute(reqID, id, ps)
+	s.inFlight.Add(-1)
 	endpoint := EndpointExperiment
 	if ps.Canonical() != "" {
 		endpoint = EndpointParam
-		res, shared, err = s.executeParam(reqID, id, ps)
-	} else {
-		res, shared, err = s.execute(reqID, id)
 	}
-	s.inFlight.Add(-1)
 	s.record(endpoint, id, time.Since(start), err != nil || res.Err != nil)
 	switch {
 	case shared:
@@ -383,8 +376,14 @@ func (s *Server) traceDone(reqID string, status int, start time.Time) {
 		Detail: fmt.Sprintf("status %d in %v", status, time.Since(start).Round(time.Microsecond))})
 }
 
-// execute runs one experiment through the singleflight group. The
-// execution uses a context detached from any request so that the
+// execute runs one request — experiment id at point ps — through the
+// singleflight group. The flight and cooldown key is id at the default
+// point (the fixed experiment) and id plus the point's canonical
+// rendering otherwise, so every spelling of a point shares one
+// execution and never collides with the fixed experiment's key (the
+// literal "params" segment cannot appear in an id).
+//
+// The execution uses a context detached from any request so that the
 // result every waiter shares cannot be cancelled by whichever client
 // happened to arrive first; the per-execution timeout bounds it
 // instead.
@@ -393,20 +392,24 @@ func (s *Server) traceDone(reqID string, status int, start time.Time) {
 // documented behavior for runners, which take no context), so an
 // immediate retry would stack a second copy of the same computation
 // on top of the first. The cooldown guards against that: after a
-// timeout, requests for the same experiment are served the recorded
-// timeout failure — without executing — until one timeout period has
-// passed, bounding the abandoned work to at most one runner per
-// experiment per period no matter how aggressively clients retry.
+// timeout, requests for the same key are served the recorded timeout
+// failure — without executing — until one timeout period has passed,
+// bounding the abandoned work to at most one runner per key per period
+// no matter how aggressively clients retry.
 //
 // reqID is the calling request's trace ID; the detached execution
 // context carries it (and nothing else from the request), so a
 // backend coordinator's decisions land in the leader's span while a
 // client disconnect still cannot cancel the shared execution.
-func (s *Server) execute(reqID, id string) (experiments.Result, bool, error) {
-	if res, ok := s.coolingDown(id); ok {
+func (s *Server) execute(reqID, id string, ps experiments.ParamSet) (experiments.Result, bool, error) {
+	key := id
+	if p := ps.Canonical(); p != "" {
+		key = id + "\x00params\x00" + p
+	}
+	if res, ok := s.coolingDown(key); ok {
 		return res, true, nil
 	}
-	val, err, shared := s.flights.Do(id, func() (any, error) {
+	val, err, shared := s.flights.Do(key, func() (any, error) {
 		timeout := s.timeout
 		if timeout < 0 {
 			timeout = 0
@@ -418,11 +421,9 @@ func (s *Server) execute(reqID, id string) (experiments.Result, bool, error) {
 				ctx, cancel = context.WithTimeout(ctx, timeout)
 				defer cancel()
 			}
-			res, err := s.backend(ctx, id)
-			return res, err
+			return s.backend(ctx, id, ps)
 		}
-		results, err := experiments.Run(context.Background(), experiments.Options{
-			IDs:      []string{id},
+		res, err := experiments.RunPoint(context.Background(), id, ps, experiments.Options{
 			Timeout:  timeout,
 			Registry: s.reg,
 			Cache:    s.cache,
@@ -432,50 +433,6 @@ func (s *Server) execute(reqID, id string) (experiments.Result, bool, error) {
 		}
 		// Inside the flight: counted once per execution, not once per
 		// waiter sharing it.
-		s.recordExploration(results[0])
-		return results[0], nil
-	})
-	if err != nil {
-		return experiments.Result{}, shared, err
-	}
-	res := val.(experiments.Result)
-	if !shared && res.Err != nil && errors.Is(res.Err, context.DeadlineExceeded) {
-		s.startCooldown(id, res)
-	}
-	return res, shared, nil
-}
-
-// executeParam runs one non-default parameter point through the
-// singleflight group, with the same detached context, timeout, and
-// cooldown contract as execute. The flight and cooldown key is the
-// family id plus the point's canonical rendering, so every spelling of
-// a point shares one execution — and never collides with the fixed
-// experiment's key (the literal "params" segment cannot appear in an
-// id).
-func (s *Server) executeParam(reqID, id string, ps experiments.ParamSet) (experiments.Result, bool, error) {
-	key := id + "\x00params\x00" + ps.Canonical()
-	if res, ok := s.coolingDown(key); ok {
-		return res, true, nil
-	}
-	val, err, shared := s.flights.Do(key, func() (any, error) {
-		timeout := s.timeout
-		if timeout < 0 {
-			timeout = 0
-		}
-		if s.paramBackend != nil {
-			ctx := trace.WithID(context.Background(), reqID)
-			if timeout > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, timeout)
-				defer cancel()
-			}
-			return s.paramBackend(ctx, id, ps)
-		}
-		fam := s.families[id]
-		res := experiments.RunParam(context.Background(), fam, ps, experiments.Options{
-			Timeout: timeout,
-			Cache:   s.cache,
-		})
 		s.recordExploration(res)
 		return res, nil
 	})
@@ -499,32 +456,32 @@ type cooldownEntry struct {
 // coolingDown reports whether key — an experiment id, or a parameter
 // point's flight key — recently timed out, returning the recorded
 // failure to serve instead of executing again.
-func (s *Server) coolingDown(id string) (experiments.Result, bool) {
+func (s *Server) coolingDown(key string) (experiments.Result, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.cooldowns[id]
+	e, ok := s.cooldowns[key]
 	if !ok {
 		return experiments.Result{}, false
 	}
 	if time.Now().After(e.until) {
-		delete(s.cooldowns, id)
+		delete(s.cooldowns, key)
 		return experiments.Result{}, false
 	}
 	return e.res, true
 }
 
-// startCooldown opens a one-timeout-long window during which id's
+// startCooldown opens a one-timeout-long window during which key's
 // recorded timeout failure is served without executing. The window
 // matches the execution timeout: by then the abandoned runner has
 // either finished (freeing its core) or proven the experiment needs a
 // bigger -timeout, and one more probe per window is an acceptable
 // cost either way.
-func (s *Server) startCooldown(id string, res experiments.Result) {
+func (s *Server) startCooldown(key string, res experiments.Result) {
 	window := s.timeout
 	if window <= 0 {
 		return // no timeout configured, so nothing can have timed out
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cooldowns[id] = cooldownEntry{until: time.Now().Add(window), res: res}
+	s.cooldowns[key] = cooldownEntry{until: time.Now().Add(window), res: res}
 }

@@ -182,7 +182,7 @@ func TestBackendReplacesEngine(t *testing.T) {
 	var backendCalls atomic.Int64
 	ts := httptest.NewServer(New(Options{
 		Registry: countingRegistry("E1", 0, &executions),
-		Backend: func(ctx context.Context, id string) (experiments.Result, error) {
+		Backend: func(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error) {
 			backendCalls.Add(1)
 			return experiments.Result{ID: id, Table: &experiments.Table{
 				ID:      id,

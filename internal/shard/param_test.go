@@ -23,7 +23,7 @@ func paramFixture(id string) (map[string]experiments.Runner, map[string]experime
 		ID:  id,
 		Doc: "synthetic parameterized family",
 		Params: []experiments.ParamSpec{
-			{Name: "x", Kind: experiments.ParamInt, Default: "1", Min: 0, Max: 9, Doc: "the point"},
+			{Name: "x", Default: "1", Min: 0, Max: 9, Doc: "the point"},
 		},
 		Run: func(ps experiments.ParamSet) (*experiments.Table, error) {
 			x := ps.Int("x")
@@ -66,22 +66,21 @@ func paramPoint(t *testing.T, fams map[string]experiments.Family, id, list strin
 	return ps
 }
 
-// TestRunParamDefaultPointAliasesFixed: the zero ParamSet routes
-// through the fixed-experiment path — remote fetch, whole-experiment
-// counters, no family machinery.
+// TestRunParamDefaultPointAliasesFixed: the zero ParamSet is the fixed
+// experiment — remote fetch, whole-experiment counters, no family
+// machinery.
 func TestRunParamDefaultPointAliasesFixed(t *testing.T) {
 	const id = "E1"
 	w, fleetExecs := newParamWorker(t, id)
-	localReg, localFams, localExecs := paramFixture(id)
+	localReg, _, localExecs := paramFixture(id)
 	coord, err := New(Options{
-		Workers:  []string{w},
-		Families: localFams,
-		Local:    experiments.Options{Registry: localReg, Jobs: 1},
+		Workers: []string{w},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coord.RunParam(context.Background(), id, experiments.ParamSet{})
+	res, err := coord.RunOne(context.Background(), id, experiments.ParamSet{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,15 +111,14 @@ func TestRunParamWholeFetchAndFrontCache(t *testing.T) {
 	}
 	localReg, localFams, localExecs := paramFixture(id)
 	coord, err := New(Options{
-		Workers:  []string{w},
-		Families: localFams,
-		Local:    experiments.Options{Registry: localReg, Jobs: 1, Cache: store},
+		Workers: []string{w},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1, Cache: store},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ps := paramPoint(t, localFams, id, "x=7")
-	res, err := coord.RunParam(context.Background(), id, ps)
+	res, err := coord.RunOne(context.Background(), id, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +132,7 @@ func TestRunParamWholeFetchAndFrontCache(t *testing.T) {
 	if fetched == 0 {
 		t.Fatal("fleet executed nothing for the point")
 	}
-	again, err := coord.RunParam(context.Background(), id, ps)
+	again, err := coord.RunOne(context.Background(), id, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,20 +148,22 @@ func TestRunParamWholeFetchAndFrontCache(t *testing.T) {
 }
 
 // TestRunParamDeadFleetRunsLocally: every worker down, the point
-// degrades to local evaluation exactly like a fixed experiment.
+// degrades to local evaluation exactly like a fixed experiment — with
+// no family configured anywhere: the point carries its own family, and
+// the coordinator's local registry is a test override the real
+// families do not cover.
 func TestRunParamDeadFleetRunsLocally(t *testing.T) {
 	const id = "E1"
 	localReg, localFams, localExecs := paramFixture(id)
 	coord, err := New(Options{
-		Workers:  []string{"http://" + deadAddr(t)},
-		Families: localFams,
-		Local:    experiments.Options{Registry: localReg, Jobs: 1},
+		Workers: []string{"http://" + deadAddr(t)},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ps := paramPoint(t, localFams, id, "x=3")
-	res, err := coord.RunParam(context.Background(), id, ps)
+	res, err := coord.RunOne(context.Background(), id, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,9 +178,10 @@ func TestRunParamDeadFleetRunsLocally(t *testing.T) {
 	}
 }
 
-// TestRunParamUnknownFamily: a parameterized request for an experiment
-// with no registered family is a coordinator error, not a panic or a
-// silent fixed-point run.
+// TestRunParamUnknownFamily: a point of one family requested for an
+// experiment of another id is a coordinator configuration error,
+// raised before anything is fetched or run — not a panic, and not a
+// silent run of either experiment.
 func TestRunParamUnknownFamily(t *testing.T) {
 	reg, _ := syntheticRegistry("E1")
 	coord, err := New(Options{
@@ -190,11 +191,16 @@ func TestRunParamUnknownFamily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, fams, _ := paramFixture("E1")
-	ps := paramPoint(t, fams, "E1", "x=2")
-	if _, err := coord.RunParam(context.Background(), "E1", ps); err == nil ||
-		!strings.Contains(err.Error(), "no parameter family") {
-		t.Fatalf("err = %v, want a no-parameter-family error", err)
+	_, fams, execs := paramFixture("E2")
+	for _, list := range []string{"x=2", ""} {
+		ps := paramPoint(t, fams, "E2", list)
+		if _, err := coord.RunOne(context.Background(), "E1", ps); err == nil ||
+			!strings.Contains(err.Error(), "parameters of E2 given for E1") {
+			t.Fatalf("point %q: err = %v, want an id/ParamSet mismatch error", list, err)
+		}
+	}
+	if st := coord.Stats(); st.Local != 0 || st.Failovers != 0 || execs.Load() != 0 {
+		t.Fatalf("mismatched point ran: stats %+v, executions %d", st, execs.Load())
 	}
 }
 
@@ -207,15 +213,14 @@ func TestRunParamWholeByteIdentical(t *testing.T) {
 	w2, execs2 := newParamWorker(t, id)
 	localReg, localFams, localExecs := paramFixture(id)
 	coord, err := New(Options{
-		Workers:  []string{w1, w2},
-		Families: localFams,
-		Local:    experiments.Options{Registry: localReg, Jobs: 1},
+		Workers: []string{w1, w2},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ps := paramPoint(t, localFams, id, "x=5")
-	res, err := coord.RunParam(context.Background(), id, ps)
+	res, err := coord.RunOne(context.Background(), id, ps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,12 +23,12 @@
 //     error (connection refused, reset, EOF — a killed worker) evicts
 //     the worker; an HTTP-level failure (non-200, undecodable body,
 //     mismatched id) only fails the attempt. Either way the
-//     experiment fails over to the next worker, bounded by
-//     Options.Retries distinct workers. Eviction is not forever: a
-//     coordinator can outlive a worker restart (cmd/figuresd -peers
-//     runs one for the daemon's whole life), so after ReviveAfter a
-//     live request is allowed to re-try an evicted worker, and one
-//     success restores it to full rotation.
+//     experiment fails over to the next worker, trying each worker
+//     at most once. Eviction is not forever: a coordinator can
+//     outlive a worker restart (cmd/figuresd -peers runs one for the
+//     daemon's whole life), so after DefaultReviveAfter a live
+//     request is allowed to re-try an evicted worker, and one success
+//     restores it to full rotation.
 //   - fallback: an experiment that exhausts the fleet — including the
 //     whole fleet being unreachable — runs locally through the
 //     in-process engine with the coordinator's Local options, so a
@@ -39,18 +39,20 @@
 // finally re-runs locally, producing the same failed Result (and the
 // same encoded bytes) a local run would have.
 //
-// The unit of distribution is the whole experiment (or one parameter
-// point of a family, RunParam): every memoized exploration space
-// explores locally in milliseconds, far below the cost of the HTTP
-// hop, so the fleet spreads experiments across workers rather than
-// splitting any one of them.
+// The unit of distribution is one request: an experiment id at one
+// parameter point (RunOne; the zero experiments.ParamSet is the fixed
+// experiment, and Run is RunOne over a list of ids at that point).
+// Every memoized exploration space explores locally in milliseconds,
+// far below the cost of the HTTP hop, so the fleet spreads whole
+// experiments across workers rather than splitting any one of them.
+// A ParamSet carries its own family, so the coordinator needs no
+// family map: the fallback hands the pair to experiments.RunPoint.
 //
 // With Options.Local.Cache set, the coordinator is a read-through
 // front cache: every experiment (and, when the store is an
 // experiments.ParamCache, every parameter point) is consulted there
 // before dispatch and stored back after a successful fetch — so a
-// repeated run of the same ids executes nothing fleet-wide. Fixed
-// experiments and parameter points take the one path, runOne.
+// repeated run of the same ids executes nothing fleet-wide.
 package shard
 
 import (
@@ -110,32 +112,14 @@ type Options struct {
 	// RequestTimeout bounds each remote experiment fetch; <= 0 means
 	// DefaultRequestTimeout.
 	RequestTimeout time.Duration
-	// ProbeTimeout bounds the startup health probes; <= 0 means
-	// DefaultProbeTimeout.
-	ProbeTimeout time.Duration
 	// MaxInFlight caps concurrent requests per worker; <= 0 means
 	// DefaultMaxInFlight.
 	MaxInFlight int
-	// Retries is the number of distinct workers tried per experiment
-	// before falling back to local execution; <= 0 means every
-	// worker.
-	Retries int
-	// ReviveAfter is how long an evicted worker stays unselectable
-	// before a live request may re-try it; <= 0 means
-	// DefaultReviveAfter.
-	ReviveAfter time.Duration
 	// Local configures the in-process fallback engine (Registry,
 	// Cache, Timeout; Jobs bounds how many fallback experiments run
-	// concurrently). IDs is ignored — the coordinator fills it per
-	// experiment.
+	// concurrently). IDs is ignored — the coordinator runs one
+	// request at a time.
 	Local experiments.Options
-	// Families maps experiment ids to their parameterized spaces,
-	// enabling RunParam — parameterized points fanned out with the same
-	// failover and fallback rules as fixed experiments. nil
-	// means experiments.FamiliesFor(Local.Registry): the real families
-	// when the registry is the real one, none under an override unless
-	// it opts in here.
-	Families map[string]experiments.Family
 	// Journal, when non-nil, records every load-bearing decision —
 	// worker selection, fetch, retry, eviction, revival, registry
 	// rejection, cache outcome, local fallback — as span
@@ -235,17 +219,14 @@ func (w *worker) load(now time.Time) int64 {
 // safe for concurrent use; one coordinator can serve many Run/RunOne
 // calls at once (cmd/figuresd -peers does exactly that).
 type Coordinator struct {
-	workers     []*worker
-	client      *http.Client
-	reqTimeout  time.Duration
-	retries     int
-	reviveAfter time.Duration
-	local       experiments.Options
-	localSem    chan struct{}
-	families    map[string]experiments.Family
-	journal     *trace.Journal
-	now         func() time.Time
-	logf        func(format string, args ...any)
+	workers    []*worker
+	client     *http.Client
+	reqTimeout time.Duration
+	local      experiments.Options
+	localSem   chan struct{}
+	journal    *trace.Journal
+	now        func() time.Time
+	logf       func(format string, args ...any)
 
 	pickMu    sync.Mutex
 	remote    atomic.Int64
@@ -283,10 +264,6 @@ func New(opts Options) (*Coordinator, error) {
 	if reqTimeout <= 0 {
 		reqTimeout = DefaultRequestTimeout
 	}
-	probeTimeout := opts.ProbeTimeout
-	if probeTimeout <= 0 {
-		probeTimeout = DefaultProbeTimeout
-	}
 	maxInFlight := opts.MaxInFlight
 	if maxInFlight <= 0 {
 		maxInFlight = DefaultMaxInFlight
@@ -294,14 +271,6 @@ func New(opts Options) (*Coordinator, error) {
 	client := opts.Client
 	if client == nil {
 		client = defaultClient(maxInFlight)
-	}
-	retries := opts.Retries
-	if retries <= 0 {
-		retries = len(opts.Workers)
-	}
-	reviveAfter := opts.ReviveAfter
-	if reviveAfter <= 0 {
-		reviveAfter = DefaultReviveAfter
 	}
 	logf := opts.Logf
 	if logf == nil {
@@ -311,25 +280,18 @@ func New(opts Options) (*Coordinator, error) {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	families := opts.Families
-	if families == nil {
-		families = experiments.FamiliesFor(opts.Local.Registry)
-	}
 	now := opts.Now
 	if now == nil {
 		now = time.Now
 	}
 	c := &Coordinator{
-		client:      client,
-		reqTimeout:  reqTimeout,
-		retries:     retries,
-		reviveAfter: reviveAfter,
-		local:       opts.Local,
-		localSem:    make(chan struct{}, jobs),
-		families:    families,
-		journal:     opts.Journal,
-		now:         now,
-		logf:        logf,
+		client:     client,
+		reqTimeout: reqTimeout,
+		local:      opts.Local,
+		localSem:   make(chan struct{}, jobs),
+		journal:    opts.Journal,
+		now:        now,
+		logf:       logf,
 	}
 	for _, addr := range opts.Workers {
 		c.workers = append(c.workers, &worker{
@@ -342,7 +304,7 @@ func New(opts Options) (*Coordinator, error) {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
-			c.probe(w, probeTimeout)
+			c.probe(w)
 		}(w)
 	}
 	wg.Wait()
@@ -373,14 +335,15 @@ func SplitList(s string) []string {
 	return out
 }
 
-// probe marks w healthy if its /healthz answers 200 within the
-// timeout, then seeds the load accounting from its /stats in-flight
-// count (best-effort: a worker without /stats just starts at zero).
+// probe marks w healthy if its /healthz answers 200 within
+// DefaultProbeTimeout, then seeds the load accounting from its /stats
+// in-flight count (best-effort: a worker without /stats just starts at
+// zero).
 // A failed probe schedules revival like any other eviction, so a
 // worker that was merely slow to boot rejoins a long-lived
 // coordinator.
-func (c *Coordinator) probe(w *worker, timeout time.Duration) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+func (c *Coordinator) probe(w *worker) {
+	ctx, cancel := context.WithTimeout(context.Background(), DefaultProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+"/healthz", nil)
 	if err != nil {
@@ -421,7 +384,7 @@ func (c *Coordinator) probe(w *worker, timeout time.Duration) {
 // request may try it again.
 func (c *Coordinator) evict(w *worker) {
 	w.healthy.Store(false)
-	w.retryAt.Store(c.now().Add(c.reviveAfter).UnixNano())
+	w.retryAt.Store(c.now().Add(DefaultReviveAfter).UnixNano())
 }
 
 // revive returns w to full rotation after a successful request,
@@ -484,7 +447,7 @@ func (c *Coordinator) Run(ctx context.Context, ids []string) ([]experiments.Resu
 		wg.Add(1)
 		go func(i int, id string) {
 			defer wg.Done()
-			results[i], errs[i] = c.RunOne(ctx, id)
+			results[i], errs[i] = c.RunOne(ctx, id, experiments.ParamSet{})
 		}(i, id)
 	}
 	wg.Wait()
@@ -496,35 +459,18 @@ func (c *Coordinator) Run(ctx context.Context, ids []string) ([]experiments.Resu
 	return results, nil
 }
 
-// RunOne executes a single experiment through the fleet with the same
-// failover and fallback rules as Run. It is the execution backend
-// cmd/figuresd -peers plugs into internal/server.
-func (c *Coordinator) RunOne(ctx context.Context, id string) (experiments.Result, error) {
-	return c.runOne(ctx, id, experiments.ParamSet{}, experiments.Family{})
-}
-
-// RunParam executes one parameterized point of an experiment family
-// through the fleet exactly like a fixed experiment: the default point
-// aliases the fixed experiment (same cache entries), any other point is
-// its own cache entry and its own fetch. It is the execution backend
-// cmd/figuresd -peers plugs into internal/server's ParamBackend.
-func (c *Coordinator) RunParam(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error) {
-	if ps.Canonical() == "" {
-		return c.RunOne(ctx, id)
+// RunOne executes one request — experiment id at point ps, the zero
+// ParamSet being the fixed experiment — through the fleet with the
+// same failover and fallback rules as Run: from the coordinator's own
+// cache when it holds the result, otherwise fetched whole from each
+// worker at most once, least-loaded first, and finally run locally. A
+// non-default point is its own cache entry and its own fetch; the
+// default point aliases the fixed experiment. It is the execution
+// backend cmd/figuresd -peers plugs into internal/server.
+func (c *Coordinator) RunOne(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error) {
+	if err := experiments.CheckPoint(id, ps); err != nil {
+		return experiments.Result{}, err
 	}
-	fam, ok := c.families[id]
-	if !ok {
-		return experiments.Result{}, fmt.Errorf("shard: experiment %q has no parameter family", id)
-	}
-	return c.runOne(ctx, id, ps, fam)
-}
-
-// runOne executes one experiment — its fixed point when ps is the zero
-// ParamSet, otherwise point ps of fam: from the coordinator's own
-// cache when it holds the result, otherwise fetched whole from up to
-// c.retries distinct workers, least-loaded first, and finally run
-// locally.
-func (c *Coordinator) runOne(ctx context.Context, id string, ps experiments.ParamSet, fam experiments.Family) (experiments.Result, error) {
 	params := ps.Canonical()
 	what := id
 	if params != "" {
@@ -552,7 +498,7 @@ func (c *Coordinator) runOne(ctx context.Context, id string, ps experiments.Para
 		c.journal.Add(reqID, trace.Event{Kind: trace.KindCacheMiss, Detail: "coordinator front cache"})
 	}
 	tried := make(map[*worker]bool)
-	for attempt := 0; attempt < c.retries; attempt++ {
+	for {
 		w := c.pick(tried)
 		if w == nil {
 			break // fleet exhausted (or entirely unhealthy)
@@ -578,7 +524,7 @@ func (c *Coordinator) runOne(ctx context.Context, id string, ps experiments.Para
 		c.logf("shard: %s on %s failed (%v); failing over", what, w.base, err)
 	}
 	c.journal.Add(reqID, trace.Event{Kind: trace.KindLocalFallback})
-	return c.runLocal(ctx, id, ps, fam, what)
+	return c.runLocal(ctx, id, ps, what)
 }
 
 // pick returns the selectable, untried worker with the lowest load,
@@ -705,33 +651,19 @@ func (c *Coordinator) fetch(ctx context.Context, w *worker, id string, ps experi
 	return res, err
 }
 
-// runLocal executes one experiment (or one point of fam) in process,
-// bounded by the local-fallback concurrency (Options.Local.Jobs): the
-// engine with the coordinator's Local options for a fixed experiment,
-// experiments.RunParam — which owns the point's cache read-through —
-// for a parameter point.
-func (c *Coordinator) runLocal(ctx context.Context, id string, ps experiments.ParamSet, fam experiments.Family, what string) (experiments.Result, error) {
+// runLocal executes one request in process through
+// experiments.RunPoint with the coordinator's Local options, bounded by
+// the local-fallback concurrency (Options.Local.Jobs).
+func (c *Coordinator) runLocal(ctx context.Context, id string, ps experiments.ParamSet, what string) (experiments.Result, error) {
 	select {
 	case c.localSem <- struct{}{}:
 	case <-ctx.Done():
 		return experiments.Result{ID: id, Err: ctx.Err()}, nil
 	}
 	defer func() { <-c.localSem }()
-	var res experiments.Result
-	if ps.Canonical() == "" {
-		opts := c.local
-		opts.IDs = []string{id}
-		opts.Jobs = 1
-		results, err := experiments.Run(ctx, opts)
-		if err != nil {
-			return experiments.Result{}, err
-		}
-		res = results[0]
-	} else {
-		res = experiments.RunParam(ctx, fam, ps, experiments.Options{
-			Timeout: c.local.Timeout,
-			Cache:   c.local.Cache,
-		})
+	res, err := experiments.RunPoint(ctx, id, ps, c.local)
+	if err != nil {
+		return experiments.Result{}, err
 	}
 	c.localRuns.Add(1)
 	c.logf("shard: %s ran locally", what)

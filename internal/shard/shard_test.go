@@ -606,20 +606,19 @@ func (c *fakeClock) Advance(d time.Duration) {
 }
 
 // TestEvictedWorkerRevives: eviction is not forever — after
-// ReviveAfter a live request may re-try the worker, and one success
-// restores it to full rotation (the property that lets a figuresd
-// -peers front daemon survive worker restarts). The coordinator runs
-// on an injected clock: no real sleeps.
+// DefaultReviveAfter a live request may re-try the worker, and one
+// success restores it to full rotation (the property that lets a
+// figuresd -peers front daemon survive worker restarts). The
+// coordinator runs on an injected clock: no real sleeps.
 func TestEvictedWorkerRevives(t *testing.T) {
 	reg, _ := syntheticRegistry("E1")
 	w := newWorker(t, reg)
 	localReg, _ := syntheticRegistry("E1")
 	clk := newFakeClock()
 	coord, err := New(Options{
-		Workers:     []string{w.URL},
-		ReviveAfter: time.Minute,
-		Now:         clk.Now,
-		Local:       experiments.Options{Registry: localReg, Jobs: 1},
+		Workers: []string{w.URL},
+		Now:     clk.Now,
+		Local:   experiments.Options{Registry: localReg, Jobs: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -633,10 +632,10 @@ func TestEvictedWorkerRevives(t *testing.T) {
 		got.inflight.Add(-1)
 		t.Fatal("pick returned an evicted worker inside the revive window")
 	}
-	clk.Advance(time.Minute + time.Second)
+	clk.Advance(DefaultReviveAfter)
 	got := coord.pick(nil)
 	if got != wk {
-		t.Fatal("evicted worker not offered for revival after ReviveAfter")
+		t.Fatal("evicted worker not offered for revival after DefaultReviveAfter")
 	}
 	got.inflight.Add(-1)
 	// A real request through the revival path restores full health.

@@ -116,7 +116,7 @@ func TestWholeFetchTraceRetryAndFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coord.RunOne(context.Background(), "E1")
+	res, err := coord.RunOne(context.Background(), "E1", experiments.ParamSet{})
 	if err != nil || res.Err != nil {
 		t.Fatalf("run = %+v, %v", res, err)
 	}
