@@ -1,7 +1,7 @@
 # Makefile — the commands CI runs are exactly the commands humans run.
 GO ?= go
 
-.PHONY: build test test-short bench bench-json lint figures cover fuzz-smoke load-smoke explore-gate cache-surgery
+.PHONY: build test test-short bench bench-json bench-perf lint figures cover fuzz-smoke load-smoke explore-gate cache-surgery
 
 build:
 	$(GO) build ./...
@@ -55,15 +55,24 @@ load-smoke:
 cache-surgery:
 	./scripts/cache-surgery.sh
 
-# explore-gate proves the memoized explorer — the only path E2, E15
-# and E16 take — equivalent to the exhaustive oracle on the real
-# experiments: a Go test renders the three through both and compares
+# explore-gate proves the memoized explorer — the only path E2, E4,
+# E15 and E16 take — equivalent to the exhaustive oracle on the real
+# experiments: a Go test renders the four through both and compares
 # the text/json/csv bytes, then the `figures -v` counter lines are
 # pinned exactly (executions, replays, states visited, states pruned)
 # to the committed BENCH_explore.json baseline, which the gate
 # rewrites with fresh counters and the oracle-vs-memo ns/op.
 explore-gate:
 	./scripts/explore-gate.sh
+
+# bench-perf runs the repository benchmark (perfbench/run.py) on the
+# sweep, serve and fleet workloads at a fixed seed and records each
+# workload's final JSON line, with the host's core count and the Go
+# version, in BENCH_perf.json under LABEL (default: the short HEAD
+# commit). It fails unless every workload reports correct == true and
+# failed == 0; times are recorded, not gated. ~2 minutes.
+bench-perf:
+	./scripts/bench-perf.sh
 
 # fuzz-smoke runs each fuzz target briefly: arbitrary bytes must never
 # panic the results decoder, the cache read path, the canonical-state

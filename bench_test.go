@@ -88,7 +88,11 @@ func BenchmarkAlg2Universal(b *testing.B) {
 // BenchmarkPigeonholeBound (E4): the register-content collision search.
 func BenchmarkPigeonholeBound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c, err := impossibility.WorstCollision(3)
+		a, err := impossibility.Analyze(3, sched.Options{Memo: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, err := a.WorstCollision()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/consensus"
 	"repro/internal/impossibility"
+	"repro/internal/sched"
 )
 
 func main() {
@@ -23,10 +24,11 @@ func main() {
 func run() error {
 	// Step 1: the execution graph is connected (Lemma 2.1's shadow).
 	k := 3
-	g, err := impossibility.BuildAlg1Graph(k)
+	a, err := impossibility.Analyze(k, sched.Options{Memo: true})
 	if err != nil {
 		return err
 	}
+	g := a.Graph()
 	path := g.Path()
 	fmt.Printf("execution graph of Algorithm 1 (k=%d, inputs 0,1): %d executions\n", k, g.Executions)
 	fmt.Printf("solo-to-solo path (%d edges):", len(path)-1)
@@ -38,7 +40,11 @@ func run() error {
 	// Step 2: the pigeonhole. All executions leave one of ≤ 4 register
 	// states; within one state, outputs far apart coexist.
 	for _, kk := range []int{2, 4, 6} {
-		c, err := impossibility.WorstCollision(kk)
+		a, err := impossibility.Analyze(kk, sched.Options{Memo: true})
+		if err != nil {
+			return err
+		}
+		c, err := a.WorstCollision()
 		if err != nil {
 			return err
 		}

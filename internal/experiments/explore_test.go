@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/agreement"
+	"repro/internal/impossibility"
 	"repro/internal/sched"
 	"repro/internal/task"
 )
@@ -46,12 +47,24 @@ func oracleAlg1(t *testing.T, k int, inputs [2]uint64) *alg1SweepAgg {
 	return col.agg()
 }
 
-// oracleResults renders E2, E15 and E16 through the exhaustive oracle:
-// the same finish paths as the registry runners, fed by aggregates of
-// an exhaustive replay of every interleaving.
+// oracleResults renders E2, E4, E15 and E16 through the exhaustive
+// oracle: the same finish paths as the registry runners, fed by
+// aggregates of an exhaustive replay of every interleaving.
 func oracleResults(t *testing.T) []Result {
 	t.Helper()
 	e2, err := finishE2(oracleAlg1(t, e2K, e2Inputs), e2K, e2Inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var analyses []*impossibility.Analysis
+	for _, k := range e4Ks {
+		a, err := impossibility.Analyze(k, sched.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		analyses = append(analyses, a)
+	}
+	e4, err := finishE4(analyses)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,18 +84,18 @@ func oracleResults(t *testing.T) []Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []Result{{ID: "E2", Table: e2}, {ID: "E15", Table: e15}, {ID: "E16", Table: e16}}
+	return []Result{{ID: "E2", Table: e2}, {ID: "E4", Table: e4}, {ID: "E15", Table: e15}, {ID: "E16", Table: e16}}
 }
 
 // TestExhaustiveOracleMatchesRegistryBytes is the explore gate: the
-// registry's memoized E2, E15 and E16 must encode byte-identically to
+// registry's memoized E2, E4, E15 and E16 must encode byte-identically to
 // the exhaustive oracle in all three formats, while replaying far
 // fewer runs than the executions they account for.
 func TestExhaustiveOracleMatchesRegistryBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive exploration")
 	}
-	ids := []string{"E2", "E15", "E16"}
+	ids := []string{"E2", "E4", "E15", "E16"}
 	got, err := Run(context.Background(), Options{IDs: ids})
 	if err != nil {
 		t.Fatal(err)

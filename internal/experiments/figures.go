@@ -99,9 +99,30 @@ func Theorem12Universal() (*Table, error) {
 	return t, nil
 }
 
+// e4Ks are the Algorithm 1 parameters E4 analyses; e4GraphK is the
+// one whose execution graph it reports.
+var e4Ks = []int{2, 3, 4}
+
+const e4GraphK = 3
+
 // Theorem11Pigeonhole (E4) produces the Prop 4.1 counting table and the
-// empirical register-content collisions of Algorithm 1.
+// empirical register-content collisions of Algorithm 1, each k explored
+// once through the canonical-state memo.
 func Theorem11Pigeonhole() (*Table, error) {
+	analyses := make([]*impossibility.Analysis, len(e4Ks))
+	for i, k := range e4Ks {
+		a, err := impossibility.Analyze(k, sched.Options{Memo: true})
+		if err != nil {
+			return nil, err
+		}
+		analyses[i] = a
+	}
+	return finishE4(analyses)
+}
+
+// finishE4 renders E4 from the Algorithm 1 analyses at e4Ks, in order,
+// and carries the sum of their exploration counters.
+func finishE4(analyses []*impossibility.Analysis) (*Table, error) {
 	t := &Table{
 		ID:      "E4",
 		Title:   "Theorem 1.1 / Prop 4.1 — pigeonhole on register contents",
@@ -117,23 +138,24 @@ func Theorem11Pigeonhole() (*Table, error) {
 			fmt.Sprintf("%d", r.States), fmt.Sprintf("%d", r.KThreshold), "-",
 		})
 	}
-	for _, k := range []int{2, 3, 4} {
-		c, err := impossibility.WorstCollision(k)
+	var graph *impossibility.ExecutionGraph
+	for _, a := range analyses {
+		c, err := a.WorstCollision()
 		if err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("alg1 k=%d (ε=1/%d)", k, 2*k+1), "1", "4", "-",
+			fmt.Sprintf("alg1 k=%d (ε=1/%d)", a.K, a.Den), "1", "4", "-",
 			fmt.Sprintf("%d units of ε (mem %v)", c.Gap(), c.Mem),
 		})
+		if a.K == e4GraphK {
+			graph = a.Graph()
+		}
+		t.memo.Add(a.Stats)
 	}
-	g, err := impossibility.BuildAlg1Graph(3)
-	if err != nil {
-		return nil, err
-	}
-	path := g.Path()
-	t.Rows = append(t.Rows, []string{"execution graph k=3", "1", "-", "-",
-		fmt.Sprintf("solo-to-solo path of %d edges (≥ 1/ε = %d)", len(path)-1, g.Den)})
+	path := graph.Path()
+	t.Rows = append(t.Rows, []string{fmt.Sprintf("execution graph k=%d", e4GraphK), "1", "-", "-",
+		fmt.Sprintf("solo-to-solo path of %d edges (≥ 1/ε = %d)", len(path)-1, graph.Den)})
 	t.Notes = append(t.Notes,
 		"gap ≥ 2 forces a late third process ≥ 2ε from some decided output: ε-agreement unsolvable",
 		"counting rows: with s-bit registers, ε < 1/(2·2^{s(n-t+1)}+1) is unattainable for t>n/2")

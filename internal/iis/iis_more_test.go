@@ -2,6 +2,7 @@ package iis
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/sched"
@@ -172,5 +173,33 @@ func TestAlg5InputsPreserved(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSortConfigsStringOrder pins sortConfigs to the lexicographic
+// order of the "id,id," keys, which is not numeric order: {10} sorts
+// before {2}, and {1,10} before {1,2}.
+func TestSortConfigsStringOrder(t *testing.T) {
+	cs := []Config{{2}, {1, 2}, {10}, {1, 10}, {1}, {3, 0}}
+	sortConfigs(cs)
+	want := []Config{{1}, {1, 10}, {1, 2}, {10}, {2}, {3, 0}}
+	if !reflect.DeepEqual(cs, want) {
+		t.Fatalf("sorted %v, want %v", cs, want)
+	}
+	for i := 1; i < len(cs); i++ {
+		if cs[i-1].key() >= cs[i].key() {
+			t.Fatalf("keys out of order: %q before %q", cs[i-1].key(), cs[i].key())
+		}
+	}
+}
+
+// TestViewKeyFormat pins the intern key format of a view at round 0 and
+// after.
+func TestViewKeyFormat(t *testing.T) {
+	if got := viewKey(0, 1, 1, nil); got != "0|1|1" {
+		t.Errorf("round-0 key %q", got)
+	}
+	if got := viewKey(2, 0, 0, []SeenEntry{{0, 3}, {1, 12}}); got != "2|0|0:3,1:12," {
+		t.Errorf("round-2 key %q", got)
 	}
 }

@@ -1,8 +1,8 @@
 package iis
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -60,17 +60,24 @@ type SeenEntry struct {
 	View int
 }
 
-// key builds the canonical intern key of a view.
+// viewKey builds the canonical intern key of a view: "0|pid|input" at
+// round 0, "round|pid|pid:view,pid:view,..." after.
 func viewKey(round, pid, input int, seen []SeenEntry) string {
+	b := make([]byte, 0, 8+8*len(seen))
+	b = strconv.AppendInt(b, int64(round), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(pid), 10)
+	b = append(b, '|')
 	if round == 0 {
-		return fmt.Sprintf("0|%d|%d", pid, input)
+		return string(strconv.AppendInt(b, int64(input), 10))
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d|%d|", round, pid)
 	for _, s := range seen {
-		fmt.Fprintf(&sb, "%d:%d,", s.Pid, s.View)
+		b = strconv.AppendInt(b, int64(s.Pid), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(s.View), 10)
+		b = append(b, ',')
 	}
-	return sb.String()
+	return string(b)
 }
 
 // NewUniverse enumerates the full-information protocol's reachable
@@ -203,16 +210,33 @@ func (u *Universe) RoundWindow(r int) (lo, hi int) {
 	return lo, lo + len(u.Configs[r-1])
 }
 
+// key renders the configuration as "id,id,...,": its dedup key and its
+// sort key.
 func (c Config) key() string {
-	var sb strings.Builder
+	b := make([]byte, 0, 4*len(c))
 	for _, id := range c {
-		fmt.Fprintf(&sb, "%d,", id)
+		b = strconv.AppendInt(b, int64(id), 10)
+		b = append(b, ',')
 	}
-	return sb.String()
+	return string(b)
 }
 
+// sortConfigs sorts configurations into the lexicographic order of their
+// keys — string order, not numeric: {10} sorts before {2} — computing
+// each key once.
 func sortConfigs(cs []Config) {
-	sort.Slice(cs, func(a, b int) bool { return cs[a].key() < cs[b].key() })
+	type keyed struct {
+		key string
+		cfg Config
+	}
+	ks := make([]keyed, len(cs))
+	for i, c := range cs {
+		ks[i] = keyed{c.key(), c}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	for i, k := range ks {
+		cs[i] = k.cfg
+	}
 }
 
 // BinaryInputVectors returns all 2^n binary input assignments.

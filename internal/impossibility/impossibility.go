@@ -48,42 +48,89 @@ type ExecutionGraph struct {
 	Executions int
 }
 
-// explore enumerates every interleaving of Algorithm 1 with inputs
-// (0,1) exhaustively, visiting each execution: the analyses here read
-// per-execution facts (co-occurring decisions, final register
-// contents), which the memoized explorer does not visit one by one.
-func explore(k int, visit func(*agreement.Alg1Run)) (int, error) {
-	_, stats, err := agreement.ExploreAlg1(k, [2]uint64{0, 1}, sched.Options{}, func(ar *agreement.Alg1Run) (any, error) {
-		visit(ar)
-		return nil, nil
-	})
-	return stats.Executions, err
+// outcome is what one complete execution of Algorithm 1 with inputs
+// (0,1) leaves for the analyses here, once both processes decided: the
+// final coordination register contents and the two output numerators.
+type outcome struct {
+	mem MemoryState
+	out [2]int
 }
 
-// BuildAlg1Graph enumerates every interleaving of Algorithm 1 with
-// k rounds and inputs (0,1), building the execution graph.
-func BuildAlg1Graph(k int) (*ExecutionGraph, error) {
-	g := &ExecutionGraph{K: k, Den: agreement.Alg1Den(k), Adj: map[Vertex]map[Vertex]bool{}}
-	runs, err := explore(k, func(ar *agreement.Alg1Run) {
+// outcomeSet is a set of outcomes: the contribution of a subtree of the
+// schedule tree.
+type outcomeSet map[outcome]struct{}
+
+// unionOutcomes is the pure sched.Options.Merge over outcome sets: a
+// fresh union, both arguments (live memo entries) untouched.
+func unionOutcomes(a, b any) any {
+	x, y := a.(outcomeSet), b.(outcomeSet)
+	out := make(outcomeSet, len(x)+len(y))
+	for o := range x {
+		out[o] = struct{}{}
+	}
+	for o := range y {
+		out[o] = struct{}{}
+	}
+	return out
+}
+
+// Analysis is the set of outcomes of every interleaving of Algorithm 1
+// with k rounds and inputs (0,1): everything the execution graph, the
+// register-content collisions and the achievable output sets are
+// derived from.
+type Analysis struct {
+	// K is the Algorithm 1 parameter; Den = 2k+1.
+	K, Den int
+	// Stats counts the exploration that collected the outcomes.
+	Stats    sched.Stats
+	outcomes outcomeSet
+}
+
+// Analyze explores every interleaving of Algorithm 1 with k rounds and
+// inputs (0,1) under opts (sched.Explore; Analyze supplies the Merge)
+// and collects the outcomes of the executions in which both processes
+// decided. Each leaf contributes a fresh one-outcome set and subtrees
+// merge by set union, so the memoized mode (opts.Memo) collects the
+// same set as the exhaustive one. The outcome is ordered by pid, which
+// the memory's relabelling-reduced canonical key allows here only
+// because the inputs differ and each process writes its input first:
+// two states that differ by swapping the processes never share a key.
+func Analyze(k int, opts sched.Options) (*Analysis, error) {
+	opts.Merge = unionOutcomes
+	all, stats, err := agreement.ExploreAlg1(k, [2]uint64{0, 1}, opts, func(ar *agreement.Alg1Run) (any, error) {
 		if !ar.Decided[0] || !ar.Decided[1] {
-			return
+			return nil, nil
 		}
-		a := Vertex{Pid: 0, Num: ar.Outs[0].Num}
-		b := Vertex{Pid: 1, Num: ar.Outs[1].Num}
-		if g.Adj[a] == nil {
-			g.Adj[a] = map[Vertex]bool{}
-		}
-		if g.Adj[b] == nil {
-			g.Adj[b] = map[Vertex]bool{}
-		}
-		g.Adj[a][b] = true
-		g.Adj[b][a] = true
+		o := outcome{mem: ar.FinalRegisters(), out: [2]int{ar.Outs[0].Num, ar.Outs[1].Num}}
+		return outcomeSet{o: {}}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	g.Executions = runs
-	return g, nil
+	a := &Analysis{K: k, Den: agreement.Alg1Den(k), Stats: stats, outcomes: outcomeSet{}}
+	if all != nil {
+		a.outcomes = all.(outcomeSet)
+	}
+	return a, nil
+}
+
+// Graph builds the execution graph: its vertices and edges are the
+// outcomes' decision pairs.
+func (a *Analysis) Graph() *ExecutionGraph {
+	g := &ExecutionGraph{K: a.K, Den: a.Den, Adj: map[Vertex]map[Vertex]bool{}, Executions: a.Stats.Executions}
+	for o := range a.outcomes {
+		u := Vertex{Pid: 0, Num: o.out[0]}
+		v := Vertex{Pid: 1, Num: o.out[1]}
+		if g.Adj[u] == nil {
+			g.Adj[u] = map[Vertex]bool{}
+		}
+		if g.Adj[v] == nil {
+			g.Adj[v] = map[Vertex]bool{}
+		}
+		g.Adj[u][v] = true
+		g.Adj[v][u] = true
+	}
+	return g
 }
 
 // SoloVertices returns v1 = (p0 solo, 0) and v2 = (p1 solo, 1): the
@@ -152,56 +199,31 @@ type Collision struct {
 // state while outputs Gap apart are both possible.
 func (c Collision) Gap() int { return c.MaxNum - c.MinNum }
 
-// FindCollisions enumerates Algorithm 1 executions with inputs (0,1) and
-// groups them by final memory state, sorted by descending gap.
-func FindCollisions(k int) ([]Collision, error) {
-	type bucket struct {
-		pairs map[[2]int]bool
-		lo    int
-		hi    int
-	}
-	buckets := map[MemoryState]*bucket{}
-	_, err := explore(k, func(ar *agreement.Alg1Run) {
-		if !ar.Decided[0] || !ar.Decided[1] {
-			return
+// Collisions groups the outcomes by final memory state, sorted by
+// descending gap.
+func (a *Analysis) Collisions() []Collision {
+	buckets := map[MemoryState]*Collision{}
+	for o := range a.outcomes {
+		c := buckets[o.mem]
+		if c == nil {
+			c = &Collision{Mem: o.mem, MinNum: 1 << 30, MaxNum: -1}
+			buckets[o.mem] = c
 		}
-		// Final coordination register contents.
-		var mem MemoryState
-		// ExploreAlg1 owns the memory internally; recover the state from
-		// the last write of each process recorded in the run.
-		mem = ar.FinalRegisters()
-		b := buckets[mem]
-		if b == nil {
-			b = &bucket{pairs: map[[2]int]bool{}, lo: 1 << 30, hi: -1}
-			buckets[mem] = b
+		c.Pairs = append(c.Pairs, o.out)
+		for _, v := range o.out {
+			c.MinNum = min(c.MinNum, v)
+			c.MaxNum = max(c.MaxNum, v)
 		}
-		pair := [2]int{ar.Outs[0].Num, ar.Outs[1].Num}
-		b.pairs[pair] = true
-		for _, v := range pair {
-			if v < b.lo {
-				b.lo = v
-			}
-			if v > b.hi {
-				b.hi = v
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
 	}
 	out := make([]Collision, 0, len(buckets))
-	for mem, b := range buckets {
-		c := Collision{Mem: mem, MinNum: b.lo, MaxNum: b.hi}
-		for p := range b.pairs {
-			c.Pairs = append(c.Pairs, p)
-		}
+	for _, c := range buckets {
 		sort.Slice(c.Pairs, func(a, b int) bool {
 			if c.Pairs[a][0] != c.Pairs[b][0] {
 				return c.Pairs[a][0] < c.Pairs[b][0]
 			}
 			return c.Pairs[a][1] < c.Pairs[b][1]
 		})
-		out = append(out, c)
+		out = append(out, *c)
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Gap() != out[b].Gap() {
@@ -209,15 +231,12 @@ func FindCollisions(k int) ([]Collision, error) {
 		}
 		return out[a].Mem[0]*2+out[a].Mem[1] < out[b].Mem[0]*2+out[b].Mem[1]
 	})
-	return out, nil
+	return out
 }
 
 // WorstCollision returns the memory state with the largest output gap.
-func WorstCollision(k int) (Collision, error) {
-	cs, err := FindCollisions(k)
-	if err != nil {
-		return Collision{}, err
-	}
+func (a *Analysis) WorstCollision() (Collision, error) {
+	cs := a.Collisions()
 	if len(cs) == 0 {
 		return Collision{}, fmt.Errorf("impossibility: no executions enumerated")
 	}
@@ -228,27 +247,16 @@ func WorstCollision(k int) (Collision, error) {
 // with inputs (0,1): for every m ∈ {0..2k}, some execution's output set
 // is exactly the adjacent pair {m, m+1} (over denominator 2k+1). This is
 // the family of mutually exclusive output classes the pigeonhole
-// argument counts. It returns achieved[m] for m = 0..2k-? — precisely,
-// index m reports the pair {m, m+1}.
-func AchievableOutputSets(k int) ([]bool, error) {
-	den := agreement.Alg1Den(k)
-	achieved := make([]bool, den) // pair {m, m+1} for m = 0..den-1
-	_, err := explore(k, func(ar *agreement.Alg1Run) {
-		if !ar.Decided[0] || !ar.Decided[1] {
-			return
+// argument counts. Index m of the result reports the pair {m, m+1}.
+func (a *Analysis) AchievableOutputSets() []bool {
+	achieved := make([]bool, a.Den) // pair {m, m+1} for m = 0..den-1
+	for o := range a.outcomes {
+		lo, hi := min(o.out[0], o.out[1]), max(o.out[0], o.out[1])
+		if hi == lo+1 {
+			achieved[lo] = true
 		}
-		a, b := ar.Outs[0].Num, ar.Outs[1].Num
-		if a > b {
-			a, b = b, a
-		}
-		if b == a+1 {
-			achieved[a] = true
-		}
-	})
-	if err != nil {
-		return nil, err
 	}
-	return achieved, nil
+	return achieved
 }
 
 // CountingRow is one row of the Proposition 4.1 pigeonhole table.

@@ -1,17 +1,58 @@
 package impossibility
 
 import (
+	"reflect"
 	"testing"
+
+	"repro/internal/sched"
 )
+
+// analyze is Analyze through the canonical-state memo, as E4 runs it.
+func analyze(t *testing.T, k int) *Analysis {
+	t.Helper()
+	a, err := Analyze(k, sched.Options{Memo: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// TestMemoOutcomesMatchExhaustive is the differential test behind E4's
+// memoized exploration: through the canonical-state memo, Analyze
+// collects exactly the outcome set of the exhaustive oracle and
+// accounts the same number of executions, from fewer replays.
+func TestMemoOutcomesMatchExhaustive(t *testing.T) {
+	for k := 2; k <= 5; k++ {
+		if k == 5 && testing.Short() {
+			t.Log("k=5 skipped in short mode")
+			break
+		}
+		memo, err := Analyze(k, sched.Options{Memo: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle, err := Analyze(k, sched.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(oracle.outcomes) == 0 || !reflect.DeepEqual(memo.outcomes, oracle.outcomes) {
+			t.Fatalf("k=%d: memoized outcomes %v, exhaustive %v", k, memo.outcomes, oracle.outcomes)
+		}
+		if memo.Stats.Executions != oracle.Stats.Executions {
+			t.Fatalf("k=%d: memo accounts %d executions, the oracle %d", k, memo.Stats.Executions, oracle.Stats.Executions)
+		}
+		if oracle.Stats.Replays != oracle.Stats.Executions || memo.Stats.Replays >= oracle.Stats.Replays {
+			t.Fatalf("k=%d: %d memoized replays, %d exhaustive for %d executions",
+				k, memo.Stats.Replays, oracle.Stats.Replays, oracle.Stats.Executions)
+		}
+	}
+}
 
 func TestExecutionGraphConnected(t *testing.T) {
 	// §3.1: the two solo vertices must be connected — otherwise the two
 	// processes would solve consensus (Lemma 2.1).
 	for k := 1; k <= 4; k++ {
-		g, err := BuildAlg1Graph(k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := analyze(t, k).Graph()
 		path := g.Path()
 		if path == nil {
 			t.Fatalf("k=%d: solo vertices disconnected", k)
@@ -27,10 +68,7 @@ func TestExecutionGraphPathLength(t *testing.T) {
 	// The path carries outputs from 0 to 1 in ε = 1/(2k+1) hops, so its
 	// length is at least 1/ε = 2k+1.
 	for k := 1; k <= 4; k++ {
-		g, err := BuildAlg1Graph(k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := analyze(t, k).Graph()
 		path := g.Path()
 		if len(path)-1 < g.Den {
 			t.Errorf("k=%d: path length %d < 1/ε = %d", k, len(path)-1, g.Den)
@@ -41,10 +79,7 @@ func TestExecutionGraphPathLength(t *testing.T) {
 func TestExecutionGraphEdgesRespectEps(t *testing.T) {
 	// Every edge joins decisions at most ε apart (the protocol is
 	// correct), so consecutive path outputs differ by ≤ 1 numerator unit.
-	g, err := BuildAlg1Graph(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := analyze(t, 3).Graph()
 	for a, nbs := range g.Adj {
 		for b := range nbs {
 			d := a.Num - b.Num
@@ -72,10 +107,7 @@ func TestCollisionsPigeonhole(t *testing.T) {
 	// With 1-bit registers there are at most 2^2 = 4 memory states, so
 	// for every k the executions fall into ≤ 4 buckets.
 	for k := 1; k <= 4; k++ {
-		cs, err := FindCollisions(k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cs := analyze(t, k).Collisions()
 		if len(cs) > 4 {
 			t.Fatalf("k=%d: %d memory states with 1-bit registers", k, len(cs))
 		}
@@ -92,7 +124,7 @@ func TestCollisionForcedBeyondThreshold(t *testing.T) {
 	// states (2k+1 > 2^{2s+1} = 8, i.e. k ≥ 4), some memory state is
 	// shared by executions whose outputs are ≥ 2 units apart — a late
 	// third process is forced ≥ 2ε from one of them.
-	c, err := WorstCollision(4)
+	c, err := analyze(t, 4).WorstCollision()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +143,7 @@ func TestCollisionGapGrowsWithPrecision(t *testing.T) {
 	}
 	gaps := map[int]int{}
 	for _, k := range []int{2, 4, 6} {
-		c, err := WorstCollision(k)
+		c, err := analyze(t, k).WorstCollision()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,10 +195,7 @@ func TestClaim41AchievableOutputSets(t *testing.T) {
 	// is the exact output set of some 2-process execution — these are
 	// the mutually exclusive classes the pigeonhole argument counts.
 	for _, k := range []int{2, 3, 4} {
-		achieved, err := AchievableOutputSets(k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		achieved := analyze(t, k).AchievableOutputSets()
 		for m, ok := range achieved {
 			if !ok {
 				t.Errorf("k=%d: output set {%d,%d}/%d never achieved", k, m, m+1, 2*k+1)
@@ -176,14 +205,8 @@ func TestClaim41AchievableOutputSets(t *testing.T) {
 }
 
 func TestCollisionReportsDeterministic(t *testing.T) {
-	a, err := FindCollisions(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FindCollisions(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := analyze(t, 3).Collisions()
+	b := analyze(t, 3).Collisions()
 	if len(a) != len(b) {
 		t.Fatal("nondeterministic collision count")
 	}

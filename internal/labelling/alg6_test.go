@@ -217,3 +217,84 @@ func TestBuildValueMapGrowth(t *testing.T) {
 		prev = vm.Len
 	}
 }
+
+// TestBuildValueMapPinned pins the value map's size for Δ = 2 at R =
+// 3..10 — the path vertices and co-final pairs E9 and E10 print.
+func TestBuildValueMapPinned(t *testing.T) {
+	want := []struct{ r, len, pairs int }{
+		{3, 24, 23}, {4, 58, 57}, {5, 140, 139}, {6, 338, 337},
+		{7, 816, 815}, {8, 1970, 1969}, {9, 4756, 4755}, {10, 11482, 11481},
+	}
+	for _, w := range want {
+		vm, err := BuildValueMap(Alg6Config{Delta: 2, R: w.r})
+		if err != nil {
+			t.Fatalf("R=%d: %v", w.r, err)
+		}
+		if vm.Len != w.len || vm.PairCount != w.pairs {
+			t.Errorf("R=%d: Len %d PairCount %d, want %d %d", w.r, vm.Len, vm.PairCount, w.len, w.pairs)
+		}
+	}
+}
+
+// TestStepAbsRaisesOneLevel checks the invariant BuildValueMap's
+// per-layer dedup rests on: over every reachable joint state, each
+// stepAbs raises the stepping process's level 2(Round-1)+Phase by
+// exactly one and leaves the other process untouched.
+func TestStepAbsRaisesOneLevel(t *testing.T) {
+	for _, cfg := range []Alg6Config{{Delta: 2, R: 5}, {Delta: 3, R: 4}} {
+		start := jointAbs{
+			A: procAbs{Round: 1, Pos: int32(InitialPos(0))},
+			B: procAbs{Round: 1, Pos: int32(InitialPos(1))},
+		}
+		seen := map[jointAbs]bool{start: true}
+		stack := []jointAbs{start}
+		steps := 0
+		for len(stack) > 0 {
+			cur := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for actor := 0; actor < 2; actor++ {
+				n := cur
+				self, other := &n.A, &n.B
+				if actor == 1 {
+					self, other = other, self
+				}
+				if self.Phase == 2 {
+					continue
+				}
+				before, otherBefore := *self, *other
+				if err := stepAbs(cfg, self, other); err != nil {
+					t.Fatalf("%+v: step of %+v: %v", cfg, before, err)
+				}
+				steps++
+				if self.level() != before.level()+1 || *other != otherBefore {
+					t.Fatalf("%+v: step %+v -> %+v (other %+v -> %+v) is not one level",
+						cfg, before, *self, otherBefore, *other)
+				}
+				if !seen[n] {
+					seen[n] = true
+					stack = append(stack, n)
+				}
+			}
+		}
+		if steps == 0 {
+			t.Fatalf("%+v: no transitions checked", cfg)
+		}
+	}
+}
+
+// TestStepAbsOverflow: a field that outgrows its narrow type is an
+// error, never a silent wrap.
+func TestStepAbsOverflow(t *testing.T) {
+	if _, err := BuildValueMap(Alg6Config{Delta: 16, R: 3}); err == nil {
+		t.Error("a 17-bit history window was accepted")
+	}
+	cfg := Alg6Config{Delta: 2, R: 30}
+	big := procAbs{Round: 21, Phase: 1, Pos: 1 << 30}
+	if err := stepAbs(cfg, &big, &procAbs{Round: 1}); err == nil {
+		t.Errorf("position overflow wrapped to %d", big.Pos)
+	}
+	last := procAbs{Round: 255, Phase: 1}
+	if err := stepAbs(Alg6Config{Delta: 2, R: 300}, &last, &procAbs{Round: 1, W: 255}); err == nil {
+		t.Errorf("round overflow wrapped to %d", last.Round)
+	}
+}

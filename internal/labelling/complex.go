@@ -2,24 +2,30 @@ package labelling
 
 import (
 	"fmt"
+	"math"
 )
 
 // procAbs is the abstract per-process state of the Algorithm 6 + labelling
-// composition, sufficient to determine all future behaviour: the round in
-// progress, the pending operation, the exact count of the other process's
-// writes observed (Lemma 8.5: the ring arithmetic computes exactly this),
-// the consecutive-solo counter, the path position, the writes performed,
-// and the packed history window of the last Δ+1 bits written (bit j of
-// Hist is the bit of round W-j).
+// composition, sufficient to determine all future behaviour: the path
+// position, the packed history window of the last Δ+1 bits written (bit j
+// of Hist is the bit of round W-j), the round in progress, the pending
+// operation, the consecutive-solo counter, and the writes performed — the
+// exact count of the other process's writes a read observes (Lemma 8.5:
+// the ring arithmetic computes exactly this). A finished process
+// (Phase == 2) stopped at round Round. The fields are narrow, so the
+// joint state is a small map key; stepAbs fails rather than wrap one.
 type procAbs struct {
-	Round int
-	Phase int // 0 = write pending, 1 = read pending, 2 = done
-	C     int
-	Pos   int
-	W     int
-	Hist  uint32
-	Final int // round at which the process finished (Phase == 2)
+	Pos   int32
+	Hist  uint16
+	Round uint8
+	Phase uint8 // 0 = write pending, 1 = read pending, 2 = done
+	C     uint8
+	W     uint8
 }
+
+// level is 2(Round-1)+Phase: the number of operations the process has
+// performed. Every stepAbs raises one process's level by exactly one.
+func (p procAbs) level() int { return 2*(int(p.Round)-1) + int(p.Phase) }
 
 type jointAbs struct {
 	A, B procAbs
@@ -46,55 +52,58 @@ type ValueMap struct {
 // process takes the next register operation) and orders the final-state
 // complex as a path. It fails if the complex is not a path, which would
 // falsify the §8 structure.
+//
+// Every transition raises the joint level (the sum of the two processes'
+// levels) by exactly one, so BFS layer d holds exactly the states of
+// level d and a state can only recur within its own layer: the search
+// deduplicates one layer at a time, in a set it clears per layer, over
+// two reused frontier slices.
 func BuildValueMap(cfg Alg6Config) (*ValueMap, error) {
 	start := jointAbs{
-		A: procAbs{Round: 1, Pos: InitialPos(0)},
-		B: procAbs{Round: 1, Pos: InitialPos(1)},
+		A: procAbs{Round: 1, Pos: int32(InitialPos(0))},
+		B: procAbs{Round: 1, Pos: int32(InitialPos(1))},
 	}
-	seen := map[jointAbs]bool{start: true}
-	queue := []jointAbs{start}
-	adj := map[Label]map[Label]bool{}
-	addEdge := func(a, b Label) {
-		if adj[a] == nil {
-			adj[a] = map[Label]bool{}
-		}
-		if adj[b] == nil {
-			adj[b] = map[Label]bool{}
-		}
-		adj[a][b] = true
-		adj[b][a] = true
-	}
+	frontier, next := []jointAbs{start}, []jointAbs(nil)
+	seen := map[jointAbs]struct{}{}
 	pairs := map[[2]Label]bool{}
 
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.A.Phase == 2 && cur.B.Phase == 2 {
-			la := Label{Pid: 0, Round: cur.A.Final, Pos: cur.A.Pos}
-			lb := Label{Pid: 1, Round: cur.B.Final, Pos: cur.B.Pos}
-			addEdge(la, lb)
-			pairs[[2]Label{la, lb}] = true
-			continue
-		}
-		for _, actor := range []int{0, 1} {
-			next := cur
-			var self, other *procAbs
-			if actor == 0 {
-				self, other = &next.A, &next.B
-			} else {
-				self, other = &next.B, &next.A
-			}
-			if self.Phase == 2 {
+	for len(frontier) > 0 {
+		clear(seen)
+		next = next[:0]
+		for _, cur := range frontier {
+			if cur.A.Phase == 2 && cur.B.Phase == 2 {
+				la := Label{Pid: 0, Round: int(cur.A.Round), Pos: int(cur.A.Pos)}
+				lb := Label{Pid: 1, Round: int(cur.B.Round), Pos: int(cur.B.Pos)}
+				pairs[[2]Label{la, lb}] = true
 				continue
 			}
-			if err := stepAbs(cfg, self, other); err != nil {
-				return nil, err
-			}
-			if !seen[next] {
-				seen[next] = true
-				queue = append(queue, next)
+			for actor := 0; actor < 2; actor++ {
+				n := cur
+				self, other := &n.A, &n.B
+				if actor == 1 {
+					self, other = other, self
+				}
+				if self.Phase == 2 {
+					continue
+				}
+				if err := stepAbs(cfg, self, other); err != nil {
+					return nil, err
+				}
+				if _, ok := seen[n]; !ok {
+					seen[n] = struct{}{}
+					next = append(next, n)
+				}
 			}
 		}
+		frontier, next = next, frontier
+	}
+
+	// Each pair is one edge (its labels have different pids), so no
+	// neighbour list repeats a label.
+	adj := map[Label][]Label{}
+	for p := range pairs {
+		adj[p[0]] = append(adj[p[0]], p[1])
+		adj[p[1]] = append(adj[p[1]], p[0])
 	}
 
 	// The final complex must be a path; order it from process 0's
@@ -112,7 +121,7 @@ func BuildValueMap(cfg Alg6Config) (*ValueMap, error) {
 	for i := 1; ; i++ {
 		var nxt Label
 		found := 0
-		for nb := range adj[cur] {
+		for _, nb := range adj[cur] {
 			if hasPrev && nb == prev {
 				continue
 			}
@@ -135,18 +144,22 @@ func BuildValueMap(cfg Alg6Config) (*ValueMap, error) {
 }
 
 // stepAbs performs self's pending operation. other is read-only except
-// that reads observe its W and Hist.
+// that reads observe its W and Hist. It fails rather than wrap when a
+// field outgrows its narrow type.
 func stepAbs(cfg Alg6Config, self, other *procAbs) error {
 	switch self.Phase {
 	case 0: // write of round Round
-		bit := uint32(Bit(self.Pos))
+		if cfg.Delta+1 > 16 || self.W == math.MaxUint8 {
+			return fmt.Errorf("labelling: abstract state overflow (Δ=%d, %d writes)", cfg.Delta, self.W)
+		}
+		bit := uint16(Bit(int(self.Pos)))
 		self.Hist = ((self.Hist << 1) | bit) & ((1 << (cfg.Delta + 1)) - 1)
 		self.W++
 		self.Phase = 1
 		return nil
 	case 1: // read of round Round
-		r := self.Round
-		o := other.W // what the ring arithmetic computes (Lemma 8.5)
+		r := int(self.Round)
+		o := int(other.W) // what the ring arithmetic computes (Lemma 8.5)
 		sawOther := r <= o
 		var bitVal uint64
 		if sawOther {
@@ -159,15 +172,20 @@ func stepAbs(cfg Alg6Config, self, other *procAbs) error {
 		} else {
 			self.C++
 		}
-		np, err := Step(self.Pos, sawOther, bitVal, Pow3(r-1))
+		np, err := Step(int(self.Pos), sawOther, bitVal, Pow3(r-1))
 		if err != nil {
 			return err
 		}
-		self.Pos = np
-		if self.C == cfg.Delta || r == cfg.R {
+		if np > math.MaxInt32 {
+			return fmt.Errorf("labelling: abstract state overflow (position %d)", np)
+		}
+		self.Pos = int32(np)
+		if int(self.C) == cfg.Delta || r == cfg.R {
 			self.Phase = 2
-			self.Final = r
 			return nil
+		}
+		if self.Round == math.MaxUint8 {
+			return fmt.Errorf("labelling: abstract state overflow (round %d)", r)
 		}
 		self.Round++
 		self.Phase = 0

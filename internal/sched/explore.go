@@ -63,6 +63,14 @@ type Stats struct {
 	StatesPruned int
 }
 
+// Add accumulates o's counters into s.
+func (s *Stats) Add(o Stats) {
+	s.Executions += o.Executions
+	s.Replays += o.Replays
+	s.StatesVisited += o.StatesVisited
+	s.StatesPruned += o.StatesPruned
+}
+
 // errMemoState reports a memoized exploration without the State seam.
 var errMemoState = errors.New("sched: Instance.State is required for memoized exploration")
 
@@ -135,7 +143,7 @@ func (e *explorer) replay(inst Instance, sch Scheduler) (*Result, error) {
 		e.rn.close()
 		e.rn = newRunner(len(inst.Procs))
 	}
-	if _, err := runInto(Config{Scheduler: sch, MaxSteps: e.opts.MaxSteps}, inst.Procs, res, e.rn); err != nil {
+	if _, err := runInto(Config{Scheduler: sch, MaxSteps: e.opts.MaxSteps}, inst.Procs, res, e.rn, true); err != nil {
 		return nil, err
 	}
 	e.stats.Replays++

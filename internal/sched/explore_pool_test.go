@@ -6,8 +6,9 @@ import (
 )
 
 // TestRunIntoReuse pins the runInto contract directly: one Result and
-// one runner recycled across differently-shaped runs keep every field
-// consistent with a fresh Run.
+// one runner recycled across differently-shaped recorded runs keep
+// every field, the decision log included, consistent with a fresh
+// recorded run.
 func TestRunIntoReuse(t *testing.T) {
 	res := &Result{}
 	var rn runner
@@ -18,19 +19,21 @@ func TestRunIntoReuse(t *testing.T) {
 			rn.close()
 			rn = newRunner(len(procs))
 		}
-		got, err := runInto(Config{Scheduler: Lowest{}}, procs, res, rn)
+		got, err := runInto(Config{Scheduler: Lowest{}}, procs, res, rn, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != res {
 			t.Fatal("runInto did not reuse the provided Result")
 		}
-		want, err := Run(Config{Scheduler: Lowest{}}, stepSystem(steps))
+		fresh := newRunner(len(steps))
+		want, err := runInto(Config{Scheduler: Lowest{}}, stepSystem(steps), nil, fresh, true)
+		fresh.close()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fmt.Sprint(res.Steps) != fmt.Sprint(want.Steps) ||
-			fingerprint(res) != fingerprint(want) ||
+			fingerprint(res) != fingerprint(want) || fingerprint(res) == "" ||
 			res.TotalSteps != want.TotalSteps {
 			t.Fatalf("steps %v: reused result %v/%v diverges from fresh %v/%v",
 				steps, res.Steps, fingerprint(res), want.Steps, fingerprint(want))
@@ -48,5 +51,14 @@ func TestExplorePropagatesError(t *testing.T) {
 		if _, _, err := Explore(factory, Options{Memo: memo}); err == nil {
 			t.Fatalf("memo=%v: empty system accepted", memo)
 		}
+	}
+}
+
+// TestStatsAdd: Add sums every counter.
+func TestStatsAdd(t *testing.T) {
+	s := Stats{Executions: 1, Replays: 2, StatesVisited: 3, StatesPruned: 4}
+	s.Add(Stats{Executions: 10, Replays: 20, StatesVisited: 30, StatesPruned: 40})
+	if want := (Stats{Executions: 11, Replays: 22, StatesVisited: 33, StatesPruned: 44}); s != want {
+		t.Fatalf("sum %+v, want %+v", s, want)
 	}
 }

@@ -77,10 +77,10 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 func TestRunIntoErrorLeavesRunnerReusable(t *testing.T) {
 	base := runtime.NumGoroutine()
 	rn := newRunner(2)
-	if _, err := runInto(Config{Scheduler: pidScheduler(5)}, stepSystem([]int{2, 2}), nil, rn); err == nil {
+	if _, err := runInto(Config{Scheduler: pidScheduler(5)}, stepSystem([]int{2, 2}), nil, rn, true); err == nil {
 		t.Fatal("scheduler choosing a disabled pid was accepted")
 	}
-	res, err := runInto(Config{Scheduler: Lowest{}}, stepSystem([]int{2, 2}), nil, rn)
+	res, err := runInto(Config{Scheduler: Lowest{}}, stepSystem([]int{2, 2}), nil, rn, true)
 	if err != nil || res.TotalSteps != 4 || !res.Correct(0) || !res.Correct(1) {
 		t.Fatalf("rerun on the same runner: %+v, %v", res, err)
 	}

@@ -36,7 +36,8 @@ type Decision struct {
 const Halt = -1
 
 // Scheduler chooses the next step among the enabled processes. enabled is
-// sorted ascending and non-empty. The returned Pid must be an element of
+// sorted ascending and non-empty, and valid only during the call (the
+// runner reuses its storage). The returned Pid must be an element of
 // enabled, or Halt.
 type Scheduler interface {
 	Next(enabled []int) Decision
@@ -70,10 +71,13 @@ type Result struct {
 	Crashed []bool
 	// Errs[i] is the error returned by process i (nil for crashed procs).
 	Errs []error
-	// Decisions is the sequence of scheduler decisions, in order.
+	// Decisions is the sequence of scheduler decisions, in order. It is
+	// recorded only for the executions Explore replays (and so hands to
+	// Instance.Leaf); a plain Run leaves it empty.
 	Decisions []Decision
 	// EnabledSets[k] is the sorted enabled set presented to the scheduler
-	// for Decisions[k]. Used by the exhaustive explorer.
+	// for Decisions[k]. Like Decisions, it is filled only for explored
+	// executions, whose branches the explorer reads from it.
 	EnabledSets [][]int
 	// Deadlocked reports that at some point every live process was blocked
 	// on an unsatisfied StepWhen condition. Remaining processes were
@@ -82,9 +86,10 @@ type Result struct {
 	// BudgetExceeded reports that MaxSteps was hit.
 	BudgetExceeded bool
 
-	// enabledArena backs the EnabledSets slices when the Result is
-	// reused across replays (runInto): one flat append-only buffer per
-	// run instead of one allocation per scheduler decision.
+	// enabledArena holds the enabled sets: when the log is recorded, one
+	// flat append-only buffer per run backing every EnabledSets slice
+	// (instead of one allocation per scheduler decision); otherwise only
+	// the current step's set, reset each step.
 	enabledArena []int
 }
 
@@ -267,18 +272,21 @@ func (r runner) crashAll() {
 // The returned error is non-nil only for configuration mistakes; execution
 // outcomes (including deadlock) are reported in the Result. A panic in a
 // process other than a crash re-panics in Run's caller with the same value.
+// Run records no decision log (Result.Decisions and EnabledSets stay
+// empty), so its allocations do not grow with the number of steps.
 func Run(cfg Config, procs []ProcFunc) (*Result, error) {
 	r := newRunner(len(procs))
 	defer r.close()
-	return runInto(cfg, procs, nil, r)
+	return runInto(cfg, procs, nil, r, false)
 }
 
 // runInto is Run on the caller's runner r, which must have len(procs)
 // slots, with a reusable Result for replay loops: res is reset and
 // reused when non-nil (its contents are valid until the next runInto
-// call with the same res). On return, error or not, every slot has
-// exited and r is ready for the next run.
-func runInto(cfg Config, procs []ProcFunc, res *Result, r runner) (*Result, error) {
+// call with the same res). record fills the decision log (Decisions and
+// EnabledSets), which only the explorer's replays read. On return,
+// error or not, every slot has exited and r is ready for the next run.
+func runInto(cfg Config, procs []ProcFunc, res *Result, r runner, record bool) (*Result, error) {
 	n := len(procs)
 	if n == 0 {
 		return nil, errors.New("sched: no processes")
@@ -300,10 +308,15 @@ func runInto(cfg Config, procs []ProcFunc, res *Result, r runner) (*Result, erro
 		s.resume()
 	}
 	for {
-		// Build the enabled set, in pid order, in the Result's flat
-		// arena. The three-index slice keeps later appends from aliasing
-		// this set; sets already stored in EnabledSets stay valid even
-		// if the arena grows (they keep pointing at the old array).
+		// Build the enabled set, in pid order, in the Result's arena.
+		// Recording, the arena is append-only: the three-index slice
+		// keeps later appends from aliasing this set, and sets already
+		// stored in EnabledSets stay valid even if the arena grows (they
+		// keep pointing at the old array). Otherwise the arena holds
+		// this step's set alone.
+		if !record {
+			res.enabledArena = res.enabledArena[:0]
+		}
 		base := len(res.enabledArena)
 		live := false
 		for pid, s := range r {
@@ -338,8 +351,10 @@ func runInto(cfg Config, procs []ProcFunc, res *Result, r runner) (*Result, erro
 			break
 		}
 
-		res.Decisions = append(res.Decisions, d)
-		res.EnabledSets = append(res.EnabledSets, enabled)
+		if record {
+			res.Decisions = append(res.Decisions, d)
+			res.EnabledSets = append(res.EnabledSets, enabled)
+		}
 		s := r[d.Pid]
 		if d.Crash {
 			s.crash = true

@@ -195,12 +195,15 @@ func TestStepWhenManyWaiters(t *testing.T) {
 	}
 }
 
-// TestDecisionTraceMatchesSteps: Decisions and EnabledSets line up and
-// only contain legal picks.
+// TestDecisionTraceMatchesSteps: in a recorded run (the explorer's
+// replays), Decisions and EnabledSets line up and only contain legal
+// picks.
 func TestDecisionTraceMatchesSteps(t *testing.T) {
 	var log []int
 	procs := []ProcFunc{counterProc(3, &log), counterProc(4, &log)}
-	res, err := Run(Config{Scheduler: NewRandom(3)}, procs)
+	rn := newRunner(len(procs))
+	defer rn.close()
+	res, err := runInto(Config{Scheduler: NewRandom(3)}, procs, nil, rn, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,5 +223,37 @@ func TestDecisionTraceMatchesSteps(t *testing.T) {
 		if !found {
 			t.Fatalf("decision %d picked %d outside enabled %v", i, d.Pid, res.EnabledSets[i])
 		}
+	}
+}
+
+// TestRunRecordsNoLog: a plain Run keeps no decision log — only
+// Explore's replays record one.
+func TestRunRecordsNoLog(t *testing.T) {
+	res, err := Run(Config{Scheduler: NewRandom(3)}, stepSystem([]int{3, 4, 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalSteps != 9 {
+		t.Fatalf("total steps %d, want 9", res.TotalSteps)
+	}
+	if len(res.Decisions) != 0 || len(res.EnabledSets) != 0 {
+		t.Fatalf("Run recorded %d decisions and %d enabled sets", len(res.Decisions), len(res.EnabledSets))
+	}
+}
+
+// TestRunAllocsIndependentOfSteps: without the log, a Run's
+// allocations do not grow with its length — ten times the steps
+// allocate no more.
+func TestRunAllocsIndependentOfSteps(t *testing.T) {
+	allocs := func(steps int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Run(Config{Scheduler: &RoundRobin{}}, stepSystem([]int{steps, steps})); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(100), allocs(1000)
+	if long > short {
+		t.Fatalf("a 2000-step Run allocates %.0f times, a 200-step one %.0f", long, short)
 	}
 }

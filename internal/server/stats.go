@@ -145,10 +145,7 @@ func (s *Server) recordExploration(res experiments.Result) {
 	s.memoMu.Lock()
 	defer s.memoMu.Unlock()
 	s.memoRuns++
-	s.memoTotals.Executions += m.Executions
-	s.memoTotals.Replays += m.Replays
-	s.memoTotals.StatesVisited += m.StatesVisited
-	s.memoTotals.StatesPruned += m.StatesPruned
+	s.memoTotals.Add(m)
 }
 
 // explorationStats snapshots the memoized-run totals, nil before the

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # explore-gate: the deterministic equivalence gate for the memoized
-# explorer, the only path E2, E15 and E16 take. It asserts:
+# explorer, the only path E2, E4, E15 and E16 take. It asserts:
 #
 #   1. TestExhaustiveOracleMatchesRegistryBytes passes: the registry's
-#      memoized E2 (k=4 Algorithm 1 sweep), E15 (Theorem 1.2 checked
-#      on every interleaving) and E16 (k=5 Algorithm 1 sweep) encode
-#      byte-identically in text, json and csv to the same tables
-#      rendered from an exhaustive replay of every interleaving;
-#   2. the counters `figures -v` prints for a fresh run of the three
+#      memoized E2 (k=4 Algorithm 1 sweep), E4 (Theorem 1.1's
+#      collisions and execution graph, k=2..4), E15 (Theorem 1.2
+#      checked on every interleaving) and E16 (k=5 Algorithm 1 sweep)
+#      encode byte-identically in text, json and csv to the same
+#      tables rendered from an exhaustive replay of every interleaving;
+#   2. the counters `figures -v` prints for a fresh run of the four
 #      (the `figures: explore <id> ...` stderr lines) match the
 #      committed BENCH_explore.json baseline exactly — executions,
 #      replays, states visited and states pruned. The serial memo is
@@ -27,7 +28,7 @@ cd "$(dirname "$0")/.."
 
 OUT=${OUT:-BENCH_explore.json}
 TIMEOUT=${TIMEOUT:-10m}
-IDS=(E2 E15 E16)
+IDS=(E2 E4 E15 E16)
 FIELDS=(executions replays states_visited states_pruned)
 
 # Baseline counters, read before the run overwrites $OUT. Bracket
