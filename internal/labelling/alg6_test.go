@@ -294,7 +294,7 @@ func TestStepAbsOverflow(t *testing.T) {
 		t.Errorf("position overflow wrapped to %d", big.Pos)
 	}
 	last := procAbs{Round: 255, Phase: 1}
-	if err := stepAbs(Alg6Config{Delta: 2, R: 300}, &last, &procAbs{Round: 1, W: 255}); err == nil {
+	if err := stepAbs(Alg6Config{Delta: 2, R: 300}, &last, &procAbs{Round: 255, Phase: 1}); err == nil {
 		t.Errorf("round overflow wrapped to %d", last.Round)
 	}
 }

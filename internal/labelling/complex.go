@@ -8,10 +8,8 @@ import (
 // procAbs is the abstract per-process state of the Algorithm 6 + labelling
 // composition, sufficient to determine all future behaviour: the path
 // position, the packed history window of the last Δ+1 bits written (bit j
-// of Hist is the bit of round W-j), the round in progress, the pending
-// operation, the consecutive-solo counter, and the writes performed — the
-// exact count of the other process's writes a read observes (Lemma 8.5:
-// the ring arithmetic computes exactly this). A finished process
+// of Hist is the bit of round writes()-j), the round in progress, the
+// pending operation and the consecutive-solo counter. A finished process
 // (Phase == 2) stopped at round Round. The fields are narrow, so the
 // joint state is a small map key; stepAbs fails rather than wrap one.
 type procAbs struct {
@@ -20,7 +18,17 @@ type procAbs struct {
 	Round uint8
 	Phase uint8 // 0 = write pending, 1 = read pending, 2 = done
 	C     uint8
-	W     uint8
+}
+
+// writes is the number of writes the process has performed: one per
+// round begun, the current one included once its write is done. It is
+// the exact count of the other process's writes a read observes (Lemma
+// 8.5: the ring arithmetic computes exactly this).
+func (p procAbs) writes() int {
+	if p.Phase == 0 {
+		return int(p.Round) - 1
+	}
+	return int(p.Round)
 }
 
 // level is 2(Round-1)+Phase: the number of operations the process has
@@ -143,23 +151,22 @@ func BuildValueMap(cfg Alg6Config) (*ValueMap, error) {
 	return &ValueMap{Cfg: cfg, Index: index, Len: len(index), PairCount: len(pairs)}, nil
 }
 
-// stepAbs performs self's pending operation. other is read-only except
-// that reads observe its W and Hist. It fails rather than wrap when a
-// field outgrows its narrow type.
+// stepAbs performs self's pending operation. other is read-only; reads
+// observe its writes and Hist. It fails rather than wrap when a field
+// outgrows its narrow type.
 func stepAbs(cfg Alg6Config, self, other *procAbs) error {
 	switch self.Phase {
 	case 0: // write of round Round
-		if cfg.Delta+1 > 16 || self.W == math.MaxUint8 {
-			return fmt.Errorf("labelling: abstract state overflow (Δ=%d, %d writes)", cfg.Delta, self.W)
+		if cfg.Delta+1 > 16 {
+			return fmt.Errorf("labelling: abstract state overflow (%d-bit history window)", cfg.Delta+1)
 		}
 		bit := uint16(Bit(int(self.Pos)))
 		self.Hist = ((self.Hist << 1) | bit) & ((1 << (cfg.Delta + 1)) - 1)
-		self.W++
 		self.Phase = 1
 		return nil
 	case 1: // read of round Round
 		r := int(self.Round)
-		o := int(other.W) // what the ring arithmetic computes (Lemma 8.5)
+		o := other.writes() // what the ring arithmetic computes (Lemma 8.5)
 		sawOther := r <= o
 		var bitVal uint64
 		if sawOther {
