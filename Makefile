@@ -65,12 +65,14 @@ cache-surgery:
 explore-gate:
 	./scripts/explore-gate.sh
 
-# bench-perf runs the repository benchmark (perfbench/run.py) on the
-# sweep, serve and fleet workloads at a fixed seed and records each
-# workload's final JSON line, with the host's core count and the Go
-# version, in BENCH_perf.json under LABEL (default: the short HEAD
-# commit). It fails unless every workload reports correct == true and
-# failed == 0; times are recorded, not gated. ~2 minutes.
+# bench-perf runs the repository benchmark (perfbench/run.py) once on
+# the sweep, serve and fleet workloads at seed 1, 15 s each, and appends
+# the sample, with the host's core count and the Go version, to
+# BENCH_perf.json under the short HEAD commit, recomputing that label's
+# quartiles. It fails unless every workload reports correct == true and
+# failed == 0; times are recorded, not gated. ~2 minutes. To sample
+# another commit's checkout alongside, run
+# scripts/bench-perf.sh LABEL CHECKOUT directly.
 bench-perf:
 	./scripts/bench-perf.sh
 

@@ -88,7 +88,7 @@ func BenchmarkAlg2Universal(b *testing.B) {
 // BenchmarkPigeonholeBound (E4): the register-content collision search.
 func BenchmarkPigeonholeBound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		a, err := impossibility.Analyze(3, sched.Options{Memo: true})
+		a, err := impossibility.Analyze(3)
 		if err != nil {
 			b.Fatal(err)
 		}

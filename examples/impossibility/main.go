@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/consensus"
 	"repro/internal/impossibility"
-	"repro/internal/sched"
 )
 
 func main() {
@@ -24,7 +23,7 @@ func main() {
 func run() error {
 	// Step 1: the execution graph is connected (Lemma 2.1's shadow).
 	k := 3
-	a, err := impossibility.Analyze(k, sched.Options{Memo: true})
+	a, err := impossibility.Analyze(k)
 	if err != nil {
 		return err
 	}
@@ -40,7 +39,7 @@ func run() error {
 	// Step 2: the pigeonhole. All executions leave one of ≤ 4 register
 	// states; within one state, outputs far apart coexist.
 	for _, kk := range []int{2, 4, 6} {
-		a, err := impossibility.Analyze(kk, sched.Options{Memo: true})
+		a, err := impossibility.Analyze(kk)
 		if err != nil {
 			return err
 		}

@@ -58,7 +58,7 @@ func oracleResults(t *testing.T) []Result {
 	}
 	var analyses []*impossibility.Analysis
 	for _, k := range e4Ks {
-		a, err := impossibility.Analyze(k, sched.Options{})
+		a, err := impossibility.AnalyzeExhaustive(k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -111,7 +111,7 @@ const e4GraphK = 3
 func Theorem11Pigeonhole() (*Table, error) {
 	analyses := make([]*impossibility.Analysis, len(e4Ks))
 	for i, k := range e4Ks {
-		a, err := impossibility.Analyze(k, sched.Options{Memo: true})
+		a, err := impossibility.Analyze(k)
 		if err != nil {
 			return nil, err
 		}

@@ -87,16 +87,25 @@ type Analysis struct {
 }
 
 // Analyze explores every interleaving of Algorithm 1 with k rounds and
-// inputs (0,1) under opts (sched.Explore; Analyze supplies the Merge)
-// and collects the outcomes of the executions in which both processes
-// decided. Each leaf contributes a fresh one-outcome set and subtrees
-// merge by set union, so the memoized mode (opts.Memo) collects the
-// same set as the exhaustive one. The outcome is ordered by pid, which
-// the memory's relabelling-reduced canonical key allows here only
-// because the inputs differ and each process writes its input first:
-// two states that differ by swapping the processes never share a key.
-func Analyze(k int, opts sched.Options) (*Analysis, error) {
-	opts.Merge = unionOutcomes
+// inputs (0,1) through the canonical-state memo and collects the
+// outcomes of the executions in which both processes decided. Each leaf
+// contributes a fresh one-outcome set and subtrees merge by set union,
+// so the memo collects the same set as AnalyzeExhaustive. The outcome
+// is ordered by pid, which the memory's relabelling-reduced canonical
+// key allows here only because the inputs differ and each process
+// writes its input first: two states that differ by swapping the
+// processes never share a key.
+func Analyze(k int) (*Analysis, error) {
+	return analyze(k, sched.Options{Memo: true, Merge: unionOutcomes})
+}
+
+// AnalyzeExhaustive is Analyze without the memo: every interleaving is
+// replayed one by one. It is the reference Analyze is checked against.
+func AnalyzeExhaustive(k int) (*Analysis, error) {
+	return analyze(k, sched.Options{Merge: unionOutcomes})
+}
+
+func analyze(k int, opts sched.Options) (*Analysis, error) {
 	all, stats, err := agreement.ExploreAlg1(k, [2]uint64{0, 1}, opts, func(ar *agreement.Alg1Run) (any, error) {
 		if !ar.Decided[0] || !ar.Decided[1] {
 			return nil, nil

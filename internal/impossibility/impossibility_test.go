@@ -3,14 +3,12 @@ package impossibility
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/sched"
 )
 
-// analyze is Analyze through the canonical-state memo, as E4 runs it.
-func analyze(t *testing.T, k int) *Analysis {
+// mustAnalyze is Analyze through the canonical-state memo, as E4 runs it.
+func mustAnalyze(t *testing.T, k int) *Analysis {
 	t.Helper()
-	a, err := Analyze(k, sched.Options{Memo: true})
+	a, err := Analyze(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,11 +25,11 @@ func TestMemoOutcomesMatchExhaustive(t *testing.T) {
 			t.Log("k=5 skipped in short mode")
 			break
 		}
-		memo, err := Analyze(k, sched.Options{Memo: true})
+		memo, err := Analyze(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle, err := Analyze(k, sched.Options{})
+		oracle, err := AnalyzeExhaustive(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +50,7 @@ func TestExecutionGraphConnected(t *testing.T) {
 	// §3.1: the two solo vertices must be connected — otherwise the two
 	// processes would solve consensus (Lemma 2.1).
 	for k := 1; k <= 4; k++ {
-		g := analyze(t, k).Graph()
+		g := mustAnalyze(t, k).Graph()
 		path := g.Path()
 		if path == nil {
 			t.Fatalf("k=%d: solo vertices disconnected", k)
@@ -68,7 +66,7 @@ func TestExecutionGraphPathLength(t *testing.T) {
 	// The path carries outputs from 0 to 1 in ε = 1/(2k+1) hops, so its
 	// length is at least 1/ε = 2k+1.
 	for k := 1; k <= 4; k++ {
-		g := analyze(t, k).Graph()
+		g := mustAnalyze(t, k).Graph()
 		path := g.Path()
 		if len(path)-1 < g.Den {
 			t.Errorf("k=%d: path length %d < 1/ε = %d", k, len(path)-1, g.Den)
@@ -79,7 +77,7 @@ func TestExecutionGraphPathLength(t *testing.T) {
 func TestExecutionGraphEdgesRespectEps(t *testing.T) {
 	// Every edge joins decisions at most ε apart (the protocol is
 	// correct), so consecutive path outputs differ by ≤ 1 numerator unit.
-	g := analyze(t, 3).Graph()
+	g := mustAnalyze(t, 3).Graph()
 	for a, nbs := range g.Adj {
 		for b := range nbs {
 			d := a.Num - b.Num
@@ -107,7 +105,7 @@ func TestCollisionsPigeonhole(t *testing.T) {
 	// With 1-bit registers there are at most 2^2 = 4 memory states, so
 	// for every k the executions fall into ≤ 4 buckets.
 	for k := 1; k <= 4; k++ {
-		cs := analyze(t, k).Collisions()
+		cs := mustAnalyze(t, k).Collisions()
 		if len(cs) > 4 {
 			t.Fatalf("k=%d: %d memory states with 1-bit registers", k, len(cs))
 		}
@@ -124,7 +122,7 @@ func TestCollisionForcedBeyondThreshold(t *testing.T) {
 	// states (2k+1 > 2^{2s+1} = 8, i.e. k ≥ 4), some memory state is
 	// shared by executions whose outputs are ≥ 2 units apart — a late
 	// third process is forced ≥ 2ε from one of them.
-	c, err := analyze(t, 4).WorstCollision()
+	c, err := mustAnalyze(t, 4).WorstCollision()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +141,7 @@ func TestCollisionGapGrowsWithPrecision(t *testing.T) {
 	}
 	gaps := map[int]int{}
 	for _, k := range []int{2, 4, 6} {
-		c, err := analyze(t, k).WorstCollision()
+		c, err := mustAnalyze(t, k).WorstCollision()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +193,7 @@ func TestClaim41AchievableOutputSets(t *testing.T) {
 	// is the exact output set of some 2-process execution — these are
 	// the mutually exclusive classes the pigeonhole argument counts.
 	for _, k := range []int{2, 3, 4} {
-		achieved := analyze(t, k).AchievableOutputSets()
+		achieved := mustAnalyze(t, k).AchievableOutputSets()
 		for m, ok := range achieved {
 			if !ok {
 				t.Errorf("k=%d: output set {%d,%d}/%d never achieved", k, m, m+1, 2*k+1)
@@ -205,8 +203,8 @@ func TestClaim41AchievableOutputSets(t *testing.T) {
 }
 
 func TestCollisionReportsDeterministic(t *testing.T) {
-	a := analyze(t, 3).Collisions()
-	b := analyze(t, 3).Collisions()
+	a := mustAnalyze(t, 3).Collisions()
+	b := mustAnalyze(t, 3).Collisions()
 	if len(a) != len(b) {
 		t.Fatal("nondeterministic collision count")
 	}

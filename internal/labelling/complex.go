@@ -11,7 +11,8 @@ import (
 // of Hist is the bit of round writes()-j), the round in progress, the
 // pending operation and the consecutive-solo counter. A finished process
 // (Phase == 2) stopped at round Round. The fields are narrow, so the
-// joint state is a small map key; stepAbs fails rather than wrap one.
+// joint state is a small map key; BuildValueMap bounds Δ so Hist fits,
+// and stepAbs fails rather than wrap the others.
 type procAbs struct {
 	Pos   int32
 	Hist  uint16
@@ -34,6 +35,10 @@ func (p procAbs) writes() int {
 // level is 2(Round-1)+Phase: the number of operations the process has
 // performed. Every stepAbs raises one process's level by exactly one.
 func (p procAbs) level() int { return 2*(int(p.Round)-1) + int(p.Phase) }
+
+// maxValueMapDelta is the largest Δ BuildValueMap accepts: procAbs.Hist
+// holds the Δ+1-bit history window in 16 bits.
+const maxValueMapDelta = 15
 
 type jointAbs struct {
 	A, B procAbs
@@ -66,7 +71,13 @@ type ValueMap struct {
 // level d and a state can only recur within its own layer: the search
 // deduplicates one layer at a time, in a set it clears per layer, over
 // two reused frontier slices.
+//
+// The abstract state packs the last Δ+1 bits written into a uint16, so
+// Δ must be at most maxValueMapDelta = 15; a larger Δ is an error.
 func BuildValueMap(cfg Alg6Config) (*ValueMap, error) {
+	if cfg.Delta > maxValueMapDelta {
+		return nil, fmt.Errorf("labelling: Δ = %d exceeds %d (a %d-bit history window does not fit the abstract state)", cfg.Delta, maxValueMapDelta, cfg.Delta+1)
+	}
 	start := jointAbs{
 		A: procAbs{Round: 1, Pos: int32(InitialPos(0))},
 		B: procAbs{Round: 1, Pos: int32(InitialPos(1))},
@@ -152,14 +163,12 @@ func BuildValueMap(cfg Alg6Config) (*ValueMap, error) {
 }
 
 // stepAbs performs self's pending operation. other is read-only; reads
-// observe its writes and Hist. It fails rather than wrap when a field
-// outgrows its narrow type.
+// observe its writes and Hist. It fails rather than wrap when the
+// position or round outgrows its narrow type; cfg.Delta ≤
+// maxValueMapDelta is the caller's check (BuildValueMap).
 func stepAbs(cfg Alg6Config, self, other *procAbs) error {
 	switch self.Phase {
 	case 0: // write of round Round
-		if cfg.Delta+1 > 16 {
-			return fmt.Errorf("labelling: abstract state overflow (%d-bit history window)", cfg.Delta+1)
-		}
 		bit := uint16(Bit(int(self.Pos)))
 		self.Hist = ((self.Hist << 1) | bit) & ((1 << (cfg.Delta + 1)) - 1)
 		self.Phase = 1

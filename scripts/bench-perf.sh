@@ -1,49 +1,62 @@
 #!/usr/bin/env bash
-# bench-perf: run the repository benchmark (perfbench/run.py) on its
-# three workloads — sweep, serve and fleet — at a fixed seed, and
-# record each workload's final JSON line, the host's core count and the
-# Go version in BENCH_perf.json under one label, so before/after
-# numbers of a change are committed side by side.
+# bench-perf: run the repository benchmark (perfbench/run.py) once on
+# its three workloads — sweep, serve and fleet — at seed 1 for 15 s
+# each, as BENCHMARK.json runs it, and append the result to
+# BENCH_perf.json as one sample under a label.
 #
-# Each run is merged into OUT under .runs[LABEL]; other labels in the
-# file are kept. Knobs (all optional):
-#   OUT          output file (default BENCH_perf.json)
-#   LABEL        name of this run (default: the short HEAD commit)
-#   SEED         perfbench --seed (default 1)
-#   RUN_SECONDS  perfbench --seconds per workload (default 15, as
-#                BENCHMARK.json runs it)
+#   scripts/bench-perf.sh [LABEL [CHECKOUT]]
+#
+# LABEL names the code measured (default: the checkout's short HEAD
+# commit). CHECKOUT is the source tree to benchmark (default: this
+# repository); pointing it at a copy of another commit lets before and
+# after samples alternate in one results file, e.g.
+#
+#   for i in $(seq 10); do
+#     scripts/bench-perf.sh parent ../parent-checkout
+#     scripts/bench-perf.sh change
+#   done
+#
+# After each sample, .runs[LABEL].summary is recomputed: per workload
+# and metric, the 25th, 50th and 75th percentiles over the label's
+# samples (linear interpolation). The host's core count and Go version
+# are recorded with each sample.
 #
 # It fails if a workload exits non-zero, prints no result, or reports
 # correct != true or failed != 0. Times are recorded, never gated: on
 # the 1–2 core hosts this runs on, a time bound would be noise.
 set -euo pipefail
-cd "$(dirname "$0")/.."
-
-OUT=${OUT:-BENCH_perf.json}
-LABEL=${LABEL:-$(git rev-parse --short HEAD 2>/dev/null || echo local)}
-SEED=${SEED:-1}
-RUN_SECONDS=${RUN_SECONDS:-15}
+repo=$(cd "$(dirname "$0")/.." && pwd)
+checkout=$(cd "${2:-$repo}" && pwd)
+label=${1:-$(git -C "$checkout" rev-parse --short HEAD)}
+out=$repo/BENCH_perf.json
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 workloads='{}'
 for w in sweep serve fleet; do
-  python3 perfbench/run.py --workload "$w" --seed "$SEED" --seconds "$RUN_SECONDS" --trace 0 \
+  (cd "$checkout" && python3 perfbench/run.py --workload "$w" --seed 1 --seconds 15 --trace 0) \
     > "$tmp/$w.out"
   line=$(tail -n 1 "$tmp/$w.out")
   if ! jq -e '.correct == true and .failed == 0' <<< "$line" > /dev/null; then
-    echo "bench-perf: $w did not run clean: $line" >&2
+    echo "bench-perf: $label $w did not run clean: $line" >&2
     exit 1
   fi
   workloads=$(jq --arg w "$w" --argjson r "$line" '.[$w] = $r' <<< "$workloads")
-  echo "bench-perf: $w $(jq -c '.metrics | {setup_s, op_p50_ms, op_cpu_ms, op_alloc_mb}' <<< "$line")"
+  echo "bench-perf: $label $w $(jq -c '.metrics | map_values(.value) | {setup_s, op_p50_ms, op_cpu_ms, op_alloc_mb}' <<< "$line")"
 done
 
-[ -f "$OUT" ] || echo '{"runs": {}}' > "$OUT"
-jq --arg name "$LABEL" --argjson cores "$(nproc)" --arg go "$(go env GOVERSION)" \
-  --argjson seed "$SEED" --argjson seconds "$RUN_SECONDS" --argjson w "$workloads" \
-  '.runs[$name] = {cores: $cores, go: $go, seed: $seed, seconds: $seconds, workloads: $w}' \
-  "$OUT" > "$tmp/out.json"
-mv "$tmp/out.json" "$OUT"
-echo "bench-perf: OK -> $OUT (.runs[\"$LABEL\"])"
+[ -f "$out" ] || echo '{"seed": 1, "seconds": 15, "runs": {}}' > "$out"
+jq --arg name "$label" --argjson cores "$(nproc)" --arg go "$(go env GOVERSION)" --argjson w "$workloads" '
+  def q($p): sort as $a | ($a | length) as $n | (($n - 1) * $p) as $h | ($h | floor) as $i
+    | if $i + 1 < $n then $a[$i] + ($h - $i) * ($a[$i + 1] - $a[$i]) else $a[$i] end;
+  .runs[$name].samples += [{cores: $cores, go: $go, workloads: $w}]
+  | .runs[$name].samples as $s
+  | .runs[$name].summary = ($s[0].workloads | keys_unsorted | map(. as $wl | {
+      ($wl): (["setup_s", "op_p50_ms", "op_cpu_ms", "op_alloc_mb"] | map(. as $m
+        | [$s[].workloads[$wl].metrics[$m].value] as $v
+        | {($m): {p25: ($v | q(0.25)), p50: ($v | q(0.5)), p75: ($v | q(0.75))}}) | add)
+    }) | add)
+' "$out" > "$tmp/out.json"
+mv "$tmp/out.json" "$out"
+echo "bench-perf: OK -> $out (.runs[\"$label\"], $(jq --arg l "$label" '.runs[$l].samples | length' "$out") samples)"
