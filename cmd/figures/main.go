@@ -35,7 +35,7 @@
 // and stored back after, so a repeated sharded run executes nothing
 // anywhere.
 //
-// The schedule-tree sweeps (E2, E15, E16) explore through the
+// The schedule-tree sweeps (E2, E4, E15, E16) explore through the
 // canonical-state memo, which accounts every interleaving from a few
 // hundred replays. With -v, each freshly explored experiment adds one
 // stderr line with the explorer's counters:

@@ -8,7 +8,7 @@
 //	figuresd [-addr host:port] [-cache-dir DIR] [-timeout D] [-grace D]
 //	         [-peers host1:port,host2:port] [-debug-addr host:port]
 //
-// The schedule-tree sweeps (E2, E15, E16) explore through the
+// The schedule-tree sweeps (E2, E4, E15, E16) explore through the
 // canonical-state memo wherever this process runs the engine —
 // directly, or as the local fallback of a -peers fleet — and every
 // fresh memoized run adds its counters to the /stats exploration

@@ -58,7 +58,7 @@ type Result struct {
 	// so cached and fresh runs encode byte-identically.
 	Cached bool
 	// Memo carries the counters of the memoized exploration a fresh run
-	// performed (E2, E15, E16); it is zero on a cache hit and for
+	// performed (E2, E4, E15, E16); it is zero on a cache hit and for
 	// experiments that explore no schedule tree. Like Cached it is not
 	// part of the wire form.
 	Memo sched.Stats

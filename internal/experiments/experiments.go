@@ -48,7 +48,7 @@ type Table struct {
 	Notes []string
 
 	// memo carries the counters of the memoized exploration that
-	// produced the table (E2, E15, E16) from the runner to the engine,
+	// produced the table (E2, E4, E15, E16) from the runner to the engine,
 	// which copies them to Result.Memo. It is not part of any wire
 	// form, so a table decoded from the cache has none.
 	memo sched.Stats

@@ -57,7 +57,7 @@ type StatsResponse struct {
 	// most hist.Growth (≈18.9%).
 	Endpoints map[string]hist.Snapshot `json:"endpoints"`
 	// Exploration accumulates the memoized explorer's counters over
-	// every fresh memoized run this process executed (E2, E15, E16 and
+	// every fresh memoized run this process executed (E2, E4, E15, E16 and
 	// their parameter points; cache hits explore nothing); absent until
 	// the first one.
 	Exploration *StatsExploration `json:"exploration,omitempty"`

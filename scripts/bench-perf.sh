@@ -9,12 +9,12 @@
 # LABEL names the code measured (default: the checkout's short HEAD
 # commit). CHECKOUT is the source tree to benchmark (default: this
 # repository); pointing it at a copy of another commit lets before and
-# after samples alternate in one results file, e.g.
+# after samples share one results file. Ten pairs, alternating which
+# side runs first:
 #
-#   for i in $(seq 10); do
-#     scripts/bench-perf.sh parent ../parent-checkout
-#     scripts/bench-perf.sh change
-#   done
+#   p() { scripts/bench-perf.sh parent ../parent-checkout; }
+#   c() { scripts/bench-perf.sh change; }
+#   for i in 1 2 3 4 5; do p && c && c && p; done
 #
 # After each sample, .runs[LABEL].summary is recomputed: per workload
 # and metric, the 25th, 50th and 75th percentiles over the label's
