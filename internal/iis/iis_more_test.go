@@ -203,3 +203,35 @@ func TestViewKeyFormat(t *testing.T) {
 		t.Errorf("round-2 key %q", got)
 	}
 }
+
+// TestReinternAllocatesNothing: looking up a view the universe already
+// holds — directly, or as the successor view of a reached configuration
+// — allocates nothing, and a new view never keeps the caller's scratch
+// Seen slice.
+func TestReinternAllocatesNothing(t *testing.T) {
+	u := NewUniverse(3, 2, BinaryInputVectors(3), ISOutcomes(3))
+	existing := u.View(u.Configs[2][0][1])
+	if got := testing.AllocsPerRun(100, func() {
+		if u.intern(existing) != existing.ID {
+			t.Fatal("re-interning returned another id")
+		}
+	}); got != 0 {
+		t.Errorf("re-interning a view allocates %.0f times, want 0", got)
+	}
+	cfg, sees := u.Configs[1][0], ISOutcomes(3)[0].Sees[2]
+	want := u.successorView(2, 2, cfg, sees)
+	if got := testing.AllocsPerRun(100, func() {
+		if u.successorView(2, 2, cfg, sees) != want {
+			t.Fatal("successor view changed id")
+		}
+	}); got != 0 {
+		t.Errorf("an existing successor view allocates %.0f times, want 0", got)
+	}
+
+	scratch := []SeenEntry{{Pid: 0, View: 0}}
+	id := u.intern(ViewInfo{Round: 9, Pid: 0, Seen: scratch})
+	scratch[0].View = 1
+	if v := u.View(id); v.Seen[0].View != 0 {
+		t.Errorf("interned view aliases the caller's Seen: %+v", v.Seen)
+	}
+}

@@ -24,6 +24,9 @@ type Universe struct {
 
 	views []ViewInfo
 	byKey map[string]int
+	// keyBuf and seenBuf are intern's and successorView's scratch.
+	keyBuf  []byte
+	seenBuf []SeenEntry
 
 	// Configs[r] lists the configurations (one view id per process)
 	// reachable at round r, in canonical order. Configs[0] is the set of
@@ -63,13 +66,17 @@ type SeenEntry struct {
 // viewKey builds the canonical intern key of a view: "0|pid|input" at
 // round 0, "round|pid|pid:view,pid:view,..." after.
 func viewKey(round, pid, input int, seen []SeenEntry) string {
-	b := make([]byte, 0, 8+8*len(seen))
+	return string(appendViewKey(nil, round, pid, input, seen))
+}
+
+// appendViewKey appends viewKey's bytes to b.
+func appendViewKey(b []byte, round, pid, input int, seen []SeenEntry) []byte {
 	b = strconv.AppendInt(b, int64(round), 10)
 	b = append(b, '|')
 	b = strconv.AppendInt(b, int64(pid), 10)
 	b = append(b, '|')
 	if round == 0 {
-		return string(strconv.AppendInt(b, int64(input), 10))
+		return strconv.AppendInt(b, int64(input), 10)
 	}
 	for _, s := range seen {
 		b = strconv.AppendInt(b, int64(s.Pid), 10)
@@ -77,7 +84,7 @@ func viewKey(round, pid, input int, seen []SeenEntry) string {
 		b = strconv.AppendInt(b, int64(s.View), 10)
 		b = append(b, ',')
 	}
-	return string(b)
+	return b
 }
 
 // NewUniverse enumerates the full-information protocol's reachable
@@ -87,19 +94,28 @@ func viewKey(round, pid, input int, seen []SeenEntry) string {
 func NewUniverse(n, k int, inputVectors [][]int, outcomes []CollectOutcome) *Universe {
 	u := &Universe{N: n, K: k, byKey: map[string]int{}}
 
+	// add appends cfg to cs unless seen holds its key. The lookup goes
+	// through a reused buffer, so only a new configuration allocates its
+	// key and its copy; cfg itself is scratch.
+	var keyBuf []byte
+	add := func(cs []Config, seen map[string]bool, cfg Config) []Config {
+		keyBuf = cfg.appendKey(keyBuf[:0])
+		if seen[string(keyBuf)] {
+			return cs
+		}
+		seen[string(keyBuf)] = true
+		return append(cs, slices.Clone(cfg))
+	}
+	cfg := make(Config, n)
+
 	// Round 0: input views.
 	var c0 []Config
 	seenCfg := map[string]bool{}
 	for _, xs := range inputVectors {
-		cfg := make(Config, n)
 		for i := 0; i < n; i++ {
 			cfg[i] = u.intern(ViewInfo{Round: 0, Pid: i, Input: xs[i], EstNum: xs[i]})
 		}
-		key := cfg.key()
-		if !seenCfg[key] {
-			seenCfg[key] = true
-			c0 = append(c0, cfg)
-		}
+		c0 = add(c0, seenCfg, cfg)
 	}
 	sortConfigs(c0)
 	u.Configs = append(u.Configs, c0)
@@ -108,17 +124,12 @@ func NewUniverse(n, k int, inputVectors [][]int, outcomes []CollectOutcome) *Uni
 	for r := 1; r <= k; r++ {
 		var next []Config
 		nextSeen := map[string]bool{}
-		for _, cfg := range u.Configs[r-1] {
+		for _, prev := range u.Configs[r-1] {
 			for _, oc := range outcomes {
-				ncfg := make(Config, n)
 				for i := 0; i < n; i++ {
-					ncfg[i] = u.successorView(r, i, cfg, oc.Sees[i])
+					cfg[i] = u.successorView(r, i, prev, oc.Sees[i])
 				}
-				key := ncfg.key()
-				if !nextSeen[key] {
-					nextSeen[key] = true
-					next = append(next, ncfg)
-				}
+				next = add(next, nextSeen, cfg)
 			}
 		}
 		sortConfigs(next)
@@ -131,10 +142,11 @@ func NewUniverse(n, k int, inputVectors [][]int, outcomes []CollectOutcome) *Uni
 // successorView interns the round-r view of process i that saw the
 // previous-round views cfg[j] for j in sees.
 func (u *Universe) successorView(r, i int, cfg Config, sees []int) int {
-	seen := make([]SeenEntry, len(sees))
-	for idx, j := range sees {
-		seen[idx] = SeenEntry{Pid: j, View: cfg[j]}
+	seen := u.seenBuf[:0]
+	for _, j := range sees {
+		seen = append(seen, SeenEntry{Pid: j, View: cfg[j]})
 	}
+	u.seenBuf = seen
 	// Midpoint estimate: (min+max)/2 of the seen estimates, scaled to
 	// denominator 2^r. A previous-round estimate a/2^(r-1) becomes 2a/2^r.
 	lo, hi := 0, 0
@@ -150,21 +162,25 @@ func (u *Universe) successorView(r, i int, cfg Config, sees []int) int {
 	return u.intern(ViewInfo{Round: r, Pid: i, Seen: seen, EstNum: lo + hi})
 }
 
-// intern returns the id of the view, adding it if new.
+// intern returns the id of the view, adding it if new. v.Seen may be
+// scratch: the lookup allocates nothing, and only a new view stores its
+// key and a copy of v.Seen.
 func (u *Universe) intern(v ViewInfo) int {
-	key := viewKey(v.Round, v.Pid, v.Input, v.Seen)
-	if id, ok := u.byKey[key]; ok {
+	u.keyBuf = appendViewKey(u.keyBuf[:0], v.Round, v.Pid, v.Input, v.Seen)
+	if id, ok := u.byKey[string(u.keyBuf)]; ok {
 		return id
 	}
 	v.ID = len(u.views)
+	v.Seen = slices.Clone(v.Seen)
 	u.views = append(u.views, v)
-	u.byKey[key] = v.ID
+	u.byKey[string(u.keyBuf)] = v.ID
 	return v.ID
 }
 
 // Lookup returns the id of an already-interned view, or -1.
 func (u *Universe) Lookup(round, pid, input int, seen []SeenEntry) int {
-	if id, ok := u.byKey[viewKey(round, pid, input, seen)]; ok {
+	var buf [64]byte
+	if id, ok := u.byKey[string(appendViewKey(buf[:0], round, pid, input, seen))]; ok {
 		return id
 	}
 	return -1
@@ -184,7 +200,8 @@ func (u *Universe) Estimate(id int) (num, den int) {
 
 // HasConfig reports whether cfg is a reachable round-r configuration.
 func (u *Universe) HasConfig(r int, cfg Config) bool {
-	return u.cfgSets[r][cfg.key()]
+	var buf [64]byte
+	return u.cfgSets[r][string(cfg.appendKey(buf[:0]))]
 }
 
 // FlatConfigs returns the round-preserving enumeration (Eq. 1) of all
@@ -212,13 +229,15 @@ func (u *Universe) RoundWindow(r int) (lo, hi int) {
 
 // key renders the configuration as "id,id,...,": its dedup key and its
 // sort key.
-func (c Config) key() string {
-	b := make([]byte, 0, 4*len(c))
+func (c Config) key() string { return string(c.appendKey(nil)) }
+
+// appendKey appends key's bytes to b.
+func (c Config) appendKey(b []byte) []byte {
 	for _, id := range c {
 		b = strconv.AppendInt(b, int64(id), 10)
 		b = append(b, ',')
 	}
-	return string(b)
+	return b
 }
 
 // sortConfigs sorts configurations into the lexicographic order of their

@@ -1,8 +1,10 @@
 package labelling
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // procAbs is the abstract per-process state of the Algorithm 6 + labelling
@@ -70,7 +72,9 @@ type ValueMap struct {
 // levels) by exactly one, so BFS layer d holds exactly the states of
 // level d and a state can only recur within its own layer: the search
 // deduplicates one layer at a time, in a set it clears per layer, over
-// two reused frontier slices.
+// two reused frontier slices. Final labels are packed into one word
+// each (packLabel), so the co-final pairs and the path's adjacency are
+// flat sorted slices rather than maps.
 //
 // The abstract state packs the last Δ+1 bits written into a uint16, so
 // Δ must be at most maxValueMapDelta = 15; a larger Δ is an error.
@@ -78,22 +82,54 @@ func BuildValueMap(cfg Alg6Config) (*ValueMap, error) {
 	if cfg.Delta > maxValueMapDelta {
 		return nil, fmt.Errorf("labelling: Δ = %d exceeds %d (a %d-bit history window does not fit the abstract state)", cfg.Delta, maxValueMapDelta, cfg.Delta+1)
 	}
+	pairs, err := coFinalPairs(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return orderPath(cfg, pairs)
+}
+
+// edge joins two packed labels.
+type edge struct{ u, v uint64 }
+
+func cmpEdge(a, b edge) int {
+	if c := cmp.Compare(a.u, b.u); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.v, b.v)
+}
+
+// packLabel packs a label into one word: Pid in bit 0, Pos in bits
+// 1..32 and Round above. Every label of the abstract search fits: Pos
+// is an int32 and Round a uint8 there.
+func packLabel(l Label) uint64 {
+	return uint64(l.Round)<<33 | uint64(uint32(l.Pos))<<1 | uint64(l.Pid)
+}
+
+func unpackLabel(k uint64) Label {
+	return Label{Pid: int(k & 1), Round: int(k >> 33), Pos: int(int32(uint32(k >> 1)))}
+}
+
+// coFinalPairs runs the layered search and returns the distinct
+// co-final label pairs (process 0's label, process 1's), sorted.
+func coFinalPairs(cfg Alg6Config) ([]edge, error) {
 	start := jointAbs{
 		A: procAbs{Round: 1, Pos: int32(InitialPos(0))},
 		B: procAbs{Round: 1, Pos: int32(InitialPos(1))},
 	}
 	frontier, next := []jointAbs{start}, []jointAbs(nil)
 	seen := map[jointAbs]struct{}{}
-	pairs := map[[2]Label]bool{}
+	var pairs []edge
 
 	for len(frontier) > 0 {
 		clear(seen)
 		next = next[:0]
 		for _, cur := range frontier {
 			if cur.A.Phase == 2 && cur.B.Phase == 2 {
-				la := Label{Pid: 0, Round: int(cur.A.Round), Pos: int(cur.A.Pos)}
-				lb := Label{Pid: 1, Round: int(cur.B.Round), Pos: int(cur.B.Pos)}
-				pairs[[2]Label{la, lb}] = true
+				pairs = append(pairs, edge{
+					packLabel(Label{Pid: 0, Round: int(cur.A.Round), Pos: int(cur.A.Pos)}),
+					packLabel(Label{Pid: 1, Round: int(cur.B.Round), Pos: int(cur.B.Pos)}),
+				})
 				continue
 			}
 			for actor := 0; actor < 2; actor++ {
@@ -116,48 +152,69 @@ func BuildValueMap(cfg Alg6Config) (*ValueMap, error) {
 		}
 		frontier, next = next, frontier
 	}
+	slices.SortFunc(pairs, cmpEdge)
+	return slices.Compact(pairs), nil
+}
 
-	// Each pair is one edge (its labels have different pids), so no
-	// neighbour list repeats a label.
-	adj := map[Label][]Label{}
-	for p := range pairs {
-		adj[p[0]] = append(adj[p[0]], p[1])
-		adj[p[1]] = append(adj[p[1]], p[0])
+// orderPath checks that the distinct co-final pairs form a path and
+// numbers its vertices from process 0's all-solo endpoint (solo from
+// round 1, exits at round Δ, position 0).
+func orderPath(cfg Alg6Config, pairs []edge) (*ValueMap, error) {
+	// Both directions of every pair, sorted: a vertex's neighbours are
+	// one run. Each pair joins a pid-0 label to a pid-1 label and pairs
+	// are distinct, so no run repeats a label.
+	half := make([]edge, 0, 2*len(pairs))
+	for _, e := range pairs {
+		half = append(half, e, edge{e.v, e.u})
+	}
+	slices.SortFunc(half, cmpEdge)
+	nbrs := func(v uint64) []edge {
+		i, _ := slices.BinarySearchFunc(half, v, func(e edge, v uint64) int { return cmp.Compare(e.u, v) })
+		j := i
+		for j < len(half) && half[j].u == v {
+			j++
+		}
+		return half[i:j]
+	}
+	vertices := 0
+	for i := range half {
+		if i == 0 || half[i].u != half[i-1].u {
+			vertices++
+		}
 	}
 
-	// The final complex must be a path; order it from process 0's
-	// all-solo endpoint (solo from round 1, exits at round Δ, position 0).
 	origin := Label{Pid: 0, Round: cfg.Delta, Pos: 0}
-	if _, ok := adj[origin]; !ok {
+	cur := packLabel(origin)
+	if d := len(nbrs(cur)); d == 0 {
 		return nil, fmt.Errorf("labelling: all-solo endpoint %v unreachable", origin)
+	} else if d != 1 {
+		return nil, fmt.Errorf("labelling: endpoint %v has degree %d", origin, d)
 	}
-	if len(adj[origin]) != 1 {
-		return nil, fmt.Errorf("labelling: endpoint %v has degree %d", origin, len(adj[origin]))
-	}
-	index := map[Label]int{origin: 0}
-	prev, cur := Label{}, origin
+	index := make(map[Label]int, vertices)
+	index[origin] = 0
+	var prev uint64
 	hasPrev := false
 	for i := 1; ; i++ {
-		var nxt Label
+		var nxt uint64
 		found := 0
-		for _, nb := range adj[cur] {
-			if hasPrev && nb == prev {
+		for _, e := range nbrs(cur) {
+			if hasPrev && e.v == prev {
 				continue
 			}
-			nxt = nb
+			nxt = e.v
 			found++
 		}
 		if found == 0 {
 			break // reached the other endpoint
 		}
 		if found > 1 {
-			return nil, fmt.Errorf("labelling: vertex %v has degree > 2; complex is not a path", cur)
+			return nil, fmt.Errorf("labelling: vertex %v has degree > 2; complex is not a path", unpackLabel(cur))
 		}
-		index[nxt] = i
+		index[unpackLabel(nxt)] = i
 		prev, cur, hasPrev = cur, nxt, true
 	}
-	if len(index) != len(adj) {
-		return nil, fmt.Errorf("labelling: path covers %d of %d vertices; complex disconnected", len(index), len(adj))
+	if len(index) != vertices {
+		return nil, fmt.Errorf("labelling: path covers %d of %d vertices; complex disconnected", len(index), vertices)
 	}
 	return &ValueMap{Cfg: cfg, Index: index, Len: len(index), PairCount: len(pairs)}, nil
 }

@@ -2,6 +2,7 @@ package msgpass
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/memory"
 	"repro/internal/sched"
@@ -36,12 +37,33 @@ type BitNet struct {
 var _ LinkLayer = (*BitNet)(nil)
 
 type bitOutLink struct {
-	to      int
-	slot    int // index in my Succ list: data field at bits [2s, 2s+1]
-	ackBit  int // bit position of my ack in the receiver's word
-	pending []uint64
-	seq     uint64
-	await   bool
+	to     int
+	slot   int // index in my Succ list: data field at bits [2s, 2s+1]
+	ackBit int // bit position of my ack in the receiver's word
+	// queue[head:] are the encoded payloads still to transmit; bit is
+	// the cursor into FrameBits(queue[head]).
+	queue     [][]byte
+	head, bit int
+	seq       uint64
+	await     bool
+}
+
+// hasBits reports whether framed bits remain to be sent.
+func (ol *bitOutLink) hasBits() bool { return ol.head < len(ol.queue) }
+
+// nextBit returns the next framed bit and advances the cursor.
+func (ol *bitOutLink) nextBit() uint64 {
+	payload := ol.queue[ol.head]
+	b := framedBit(payload, ol.bit)
+	ol.bit++
+	if ol.bit == framedLen(payload) {
+		ol.queue[ol.head] = nil
+		ol.head, ol.bit = ol.head+1, 0
+		if ol.head == len(ol.queue) {
+			ol.queue, ol.head = ol.queue[:0], 0
+		}
+	}
+	return b
 }
 
 type bitInLink struct {
@@ -57,6 +79,8 @@ type bitNode struct {
 	outs  []*bitOutLink
 	ins   []*bitInLink
 	inbox []*Message
+	// ready is the node's RecvAny step guard, built once.
+	ready func() bool
 }
 
 // NewBitNet builds the alternating-bit substrate over the topology. The
@@ -64,10 +88,11 @@ type bitNode struct {
 // ring).
 func NewBitNet(topo Topology) *BitNet {
 	n := topo.N()
+	succ, pred := make([][]int, n), make([][]int, n)
 	width := 0
 	for i := 0; i < n; i++ {
-		w := 2*len(topo.Succ(i)) + len(topo.Pred(i))
-		if w > width {
+		succ[i], pred[i] = topo.Succ(i), topo.Pred(i)
+		if w := 2*len(succ[i]) + len(pred[i]); w > width {
 			width = w
 		}
 	}
@@ -77,29 +102,18 @@ func NewBitNet(topo Topology) *BitNet {
 		nodes: make([]*bitNode, n),
 	}
 	for i := 0; i < n; i++ {
-		nd := &bitNode{}
-		for s, j := range topo.Succ(i) {
+		nd := &bitNode{ready: func() bool { return b.progress(i) }}
+		for s, j := range succ[i] {
 			// My ack bit in j's word: after j's 2·outdeg data bits, at
 			// the index of i among j's predecessors.
-			ackBit := 2 * len(topo.Succ(j))
-			for k, pred := range topo.Pred(j) {
-				if pred == i {
-					ackBit += k
-				}
-			}
+			ackBit := 2*len(succ[j]) + slices.Index(pred[j], i)
 			nd.outs = append(nd.outs, &bitOutLink{to: j, slot: s, ackBit: ackBit})
 		}
-		for k, j := range topo.Pred(i) {
-			dataSlot := 0
-			for s, succ := range topo.Succ(j) {
-				if succ == i {
-					dataSlot = s
-				}
-			}
+		for k, j := range pred[i] {
 			nd.ins = append(nd.ins, &bitInLink{
 				from:     j,
-				dataSlot: dataSlot,
-				ackBit:   2*len(topo.Succ(i)) + k,
+				dataSlot: slices.Index(succ[j], i),
+				ackBit:   2*len(succ[i]) + k,
 			})
 		}
 		b.nodes[i] = nd
@@ -116,14 +130,15 @@ func (b *BitNet) RegisterBits() int { return b.mem.Width() }
 // Memory exposes the underlying bounded shared memory (for assertions).
 func (b *BitNet) Memory() *memory.Shared { return b.mem }
 
-// Send implements LinkLayer: it frames the message onto the link's bit
-// queue. The register operations that transmit the bits happen during
-// RecvAny pumping and are charged there.
+// Send implements LinkLayer: it queues the encoded message on the link,
+// to be framed bit by bit (FrameBits) as it is transmitted. The register
+// operations that transmit the bits happen during RecvAny pumping and
+// are charged there.
 func (b *BitNet) Send(p *sched.Proc, to int, m *Message) error {
 	nd := b.nodes[p.ID]
 	for _, ol := range nd.outs {
 		if ol.to == to {
-			ol.pending = append(ol.pending, FrameBits(m.Encode())...)
+			ol.queue = append(ol.queue, m.Encode())
 			return nil
 		}
 	}
@@ -146,7 +161,7 @@ func (b *BitNet) progress(me int) bool {
 			if (w>>ol.ackBit)&1 == ol.seq {
 				return true
 			}
-		} else if len(ol.pending) > 0 {
+		} else if ol.hasBits() {
 			return true
 		}
 	}
@@ -187,9 +202,8 @@ func (b *BitNet) pump(p *sched.Proc) error {
 				ol.await = false
 			}
 		}
-		if !ol.await && len(ol.pending) > 0 {
-			bit := ol.pending[0]
-			ol.pending = ol.pending[1:]
+		if !ol.await && ol.hasBits() {
+			bit := ol.nextBit()
 			ol.seq = 1 - ol.seq
 			field := ol.seq | (bit << 1)
 			newWord = (newWord &^ (3 << (2 * ol.slot))) | (field << (2 * ol.slot))
@@ -215,7 +229,7 @@ func (b *BitNet) pump(p *sched.Proc) error {
 		newWord = (newWord &^ (1 << il.ackBit)) | (s << il.ackBit)
 		dirty = true
 		b.Bits++
-		payload, err := il.asm.Push(bit)
+		payload, err := il.asm.push(bit)
 		if err != nil {
 			return err
 		}
@@ -240,15 +254,14 @@ func (b *BitNet) pump(p *sched.Proc) error {
 // RecvAny implements LinkLayer: it pumps the node's links until a full
 // message has been assembled.
 func (b *BitNet) RecvAny(p *sched.Proc) (*Message, error) {
-	me := p.ID
-	nd := b.nodes[me]
+	nd := b.nodes[p.ID]
 	for {
 		if len(nd.inbox) > 0 {
 			m := nd.inbox[0]
 			nd.inbox = nd.inbox[1:]
 			return m, nil
 		}
-		p.StepWhen(func() bool { return b.progress(me) })
+		p.StepWhen(nd.ready)
 		if err := b.pump(p); err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package msgpass
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -128,28 +129,37 @@ func DecodeMessage(buf []byte) (*Message, error) {
 // b_1..b_k (LSB-first per byte) interleaved with separators — a 0 after
 // every data bit except the last, which is followed by a 1 marking the
 // end of the message (§6: "m is encoded by inserting 0 between each bit
-// and adding a 1 at the end").
+// and adding a 1 at the end"). The links send the same bits one at a
+// time through framedBit.
 func FrameBits(payload []byte) []uint64 {
-	var bits []uint64
-	total := len(payload) * 8
-	idx := 0
-	for _, b := range payload {
-		for j := 0; j < 8; j++ {
-			bits = append(bits, uint64((b>>j)&1))
-			idx++
-			if idx == total {
-				bits = append(bits, 1)
-			} else {
-				bits = append(bits, 0)
-			}
-		}
+	bits := make([]uint64, 0, framedLen(payload))
+	for i := 0; i < framedLen(payload); i++ {
+		bits = append(bits, framedBit(payload, i))
 	}
 	return bits
 }
 
-// BitAssembler reconstructs payloads from a framed bit stream.
+// framedLen is the number of framed bits of a payload: two per data bit.
+func framedLen(payload []byte) int { return 16 * len(payload) }
+
+// framedBit returns bit i of FrameBits(payload): an even i carries data
+// bit i/2, an odd i the separator after it.
+func framedBit(payload []byte, i int) uint64 {
+	d := i / 2
+	if i%2 == 0 {
+		return uint64(payload[d/8]>>(d%8)) & 1
+	}
+	if d == 8*len(payload)-1 {
+		return 1
+	}
+	return 0
+}
+
+// BitAssembler reconstructs payloads from a framed bit stream, packing
+// the data bits into bytes as they arrive.
 type BitAssembler struct {
-	data    []uint64
+	buf     []byte // data bits so far, LSB-first per byte
+	n       int    // number of data bits in buf
 	haveBit bool
 	pending uint64
 }
@@ -157,24 +167,35 @@ type BitAssembler struct {
 // Push consumes one link bit and returns a completed payload when the
 // end-of-message separator arrives.
 func (a *BitAssembler) Push(bit uint64) ([]byte, error) {
+	payload, err := a.push(bit)
+	if payload == nil {
+		return nil, err
+	}
+	return bytes.Clone(payload), nil
+}
+
+// push is Push without the copy: a completed payload aliases the
+// assembler's buffer and is valid only until the next push.
+func (a *BitAssembler) push(bit uint64) ([]byte, error) {
 	if !a.haveBit {
 		a.pending = bit
 		a.haveBit = true
 		return nil, nil
 	}
 	a.haveBit = false
-	a.data = append(a.data, a.pending)
+	if a.n%8 == 0 {
+		a.buf = append(a.buf, 0)
+	}
+	a.buf[a.n/8] |= byte(a.pending) << (a.n % 8)
+	a.n++
 	if bit == 0 {
 		return nil, nil
 	}
-	// End of message: pack bits into bytes.
-	if len(a.data)%8 != 0 {
-		return nil, fmt.Errorf("msgpass: framed message of %d bits not byte-aligned", len(a.data))
+	// End of message.
+	payload, n := a.buf, a.n
+	a.buf, a.n = a.buf[:0], 0
+	if n%8 != 0 {
+		return nil, fmt.Errorf("msgpass: framed message of %d bits not byte-aligned", n)
 	}
-	payload := make([]byte, len(a.data)/8)
-	for i, b := range a.data {
-		payload[i/8] |= byte(b) << (i % 8)
-	}
-	a.data = nil
 	return payload, nil
 }

@@ -20,6 +20,7 @@ type Node struct {
 	// full-information algorithm, so this is an ablation knob.
 	WriteBack bool
 
+	succ   []int // LL.Topo().Succ(P.ID)
 	seen   map[uint64]bool
 	seq    uint64
 	copies []regCopy
@@ -39,6 +40,7 @@ func NewNode(p *sched.Proc, ll LinkLayer, t int, writeBack bool) *Node {
 		LL:        ll,
 		T:         t,
 		WriteBack: writeBack,
+		succ:      ll.Topo().Succ(p.ID),
 		seen:      make(map[uint64]bool),
 		copies:    make([]regCopy, ll.Topo().N()),
 	}
@@ -58,11 +60,10 @@ func (nd *Node) newUID() uint64 {
 // flooding all successors otherwise (§6 phase 2); UID-deduplication at
 // every node keeps the flood finite.
 func (nd *Node) forward(m *Message) error {
-	succ := nd.LL.Topo().Succ(nd.P.ID)
-	if contains(succ, m.Dst) {
+	if contains(nd.succ, m.Dst) {
 		return nd.LL.Send(nd.P, m.Dst, m)
 	}
-	for _, j := range succ {
+	for _, j := range nd.succ {
 		if err := nd.LL.Send(nd.P, j, m); err != nil {
 			return err
 		}

@@ -249,3 +249,29 @@ func TestAllStagesAgreeOnSemantics(t *testing.T) {
 		}
 	}
 }
+
+// TestBitRingAllocsIndependentOfBits: a stage B run's allocations do not
+// grow with the link bits it delivers. Three rounds deliver ~14k more
+// bits than one; the extra allocations (encoded and decoded messages,
+// growing queues) stay under one per 16 of those bits, where a
+// per-bit allocation would exceed one per bit.
+func TestBitRingAllocsIndependentOfBits(t *testing.T) {
+	run := func(rounds int) (allocs float64, bits int) {
+		allocs = testing.AllocsPerRun(3, func() {
+			pr := runStage(t, PipelineConfig{
+				Stage: StageBitRing, N: 3, T: 1, Rounds: rounds,
+				Inputs: mixedInputs(3), Scheduler: &sched.RoundRobin{},
+			})
+			bits = pr.BitsDelivered
+		})
+		return allocs, bits
+	}
+	shortAllocs, shortBits := run(1)
+	longAllocs, longBits := run(3)
+	if longBits <= shortBits {
+		t.Fatalf("3 rounds delivered %d bits, 1 round %d", longBits, shortBits)
+	}
+	if extra, bits := longAllocs-shortAllocs, longBits-shortBits; extra*16 >= float64(bits) {
+		t.Errorf("%d extra link bits cost %.0f extra allocations (%.2f per bit)", bits, extra, extra/float64(bits))
+	}
+}

@@ -3,6 +3,7 @@ package msgpass
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/sched"
 )
@@ -26,9 +27,14 @@ type LinkLayer interface {
 // across links chosen by a seeded RNG (the delivery adversary). Each send
 // and each receive is one scheduler step.
 type QueueNet struct {
-	topo   Topology
-	queues map[[2]int][]*Message
-	rng    *rand.Rand
+	topo Topology
+	succ [][]int
+	pred [][]int
+	// in[j][k] is the queue of the link pred[j][k] → j.
+	in [][][]*Message
+	// ready[j] is node j's RecvAny step guard, built once.
+	ready []func() bool
+	rng   *rand.Rand
 
 	// Sent and Delivered count link-level message events.
 	Sent, Delivered int
@@ -39,11 +45,21 @@ var _ LinkLayer = (*QueueNet)(nil)
 // NewQueueNet builds the substrate over the topology; seed drives the
 // cross-link delivery choice.
 func NewQueueNet(topo Topology, seed int64) *QueueNet {
-	return &QueueNet{
-		topo:   topo,
-		queues: make(map[[2]int][]*Message),
-		rng:    rand.New(rand.NewSource(seed)),
+	n := topo.N()
+	q := &QueueNet{
+		topo:  topo,
+		succ:  make([][]int, n),
+		pred:  make([][]int, n),
+		in:    make([][][]*Message, n),
+		ready: make([]func() bool, n),
+		rng:   rand.New(rand.NewSource(seed)),
 	}
+	for j := 0; j < n; j++ {
+		q.succ[j], q.pred[j] = topo.Succ(j), topo.Pred(j)
+		q.in[j] = make([][]*Message, len(q.pred[j]))
+		q.ready[j] = func() bool { return q.nonEmptyIn(j) > 0 }
+	}
+	return q
 }
 
 // Topo implements LinkLayer.
@@ -51,42 +67,50 @@ func (q *QueueNet) Topo() Topology { return q.topo }
 
 // Send implements LinkLayer.
 func (q *QueueNet) Send(p *sched.Proc, to int, m *Message) error {
-	if !contains(q.topo.Succ(p.ID), to) {
+	if !contains(q.succ[p.ID], to) {
 		return fmt.Errorf("msgpass: no link %d→%d", p.ID, to)
 	}
 	p.Step()
-	key := [2]int{p.ID, to}
-	q.queues[key] = append(q.queues[key], m)
+	k := slices.Index(q.pred[to], p.ID)
+	q.in[to][k] = append(q.in[to][k], m)
 	q.Sent++
 	return nil
 }
 
 // RecvAny implements LinkLayer: it blocks (disabled in the scheduler's
 // enabled set) until some in-link queue is non-empty, then dequeues from
-// a queue picked by the delivery adversary.
+// a queue picked by the delivery adversary: uniformly among the
+// non-empty ones, in Pred order.
 func (q *QueueNet) RecvAny(p *sched.Proc) (*Message, error) {
 	me := p.ID
-	p.StepWhen(func() bool { return len(q.nonEmptyIn(me)) > 0 })
-	ready := q.nonEmptyIn(me)
-	if len(ready) == 0 {
-		return nil, fmt.Errorf("msgpass: RecvAny granted with no message")
-	}
-	from := ready[q.rng.Intn(len(ready))]
-	key := [2]int{from, me}
-	m := q.queues[key][0]
-	q.queues[key] = q.queues[key][1:]
-	q.Delivered++
-	return m, nil
-}
-
-func (q *QueueNet) nonEmptyIn(me int) []int {
-	var out []int
-	for _, from := range q.topo.Pred(me) {
-		if len(q.queues[[2]int{from, me}]) > 0 {
-			out = append(out, from)
+	p.StepWhen(q.ready[me])
+	if ready := q.nonEmptyIn(me); ready > 0 {
+		pick := q.rng.Intn(ready)
+		for k, queue := range q.in[me] {
+			if len(queue) == 0 {
+				continue
+			}
+			if pick > 0 {
+				pick--
+				continue
+			}
+			q.in[me][k] = queue[1:]
+			q.Delivered++
+			return queue[0], nil
 		}
 	}
-	return out
+	return nil, fmt.Errorf("msgpass: RecvAny granted with no message")
+}
+
+// nonEmptyIn counts me's non-empty in-link queues.
+func (q *QueueNet) nonEmptyIn(me int) int {
+	n := 0
+	for _, queue := range q.in[me] {
+		if len(queue) > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func contains(xs []int, x int) bool {

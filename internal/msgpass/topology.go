@@ -19,7 +19,10 @@
 //     links with 3(t+1)-bit registers (B).
 package msgpass
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Topology is a directed communication graph over n nodes.
 type Topology interface {
@@ -82,13 +85,15 @@ func NewTAugmentedRing(n, t int) (TAugmentedRing, error) {
 // N implements Topology.
 func (r TAugmentedRing) N() int { return r.Nodes }
 
-// Succ implements Topology.
+// Succ implements Topology. The t+1 entries are distinct because
+// NewTAugmentedRing requires t+1 < n.
 func (r TAugmentedRing) Succ(i int) []int {
 	out := make([]int, 0, r.T+1)
 	for d := 1; d <= r.T+1; d++ {
 		out = append(out, (i+d)%r.Nodes)
 	}
-	return sortedUnique(out)
+	slices.Sort(out)
+	return out
 }
 
 // Pred implements Topology.
@@ -97,27 +102,7 @@ func (r TAugmentedRing) Pred(i int) []int {
 	for d := 1; d <= r.T+1; d++ {
 		out = append(out, (i-d+r.Nodes)%r.Nodes)
 	}
-	return sortedUnique(out)
-}
-
-func sortedUnique(xs []int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for v := 0; ; v++ {
-		done := true
-		for _, x := range xs {
-			if x >= v {
-				done = false
-			}
-			if x == v && !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-		if done {
-			break
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 

@@ -1,6 +1,10 @@
 package msgpass
 
-import "testing"
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
 
 func TestTAugmentedRingNeighbours(t *testing.T) {
 	ring, err := NewTAugmentedRing(7, 2)
@@ -92,5 +96,47 @@ func TestStronglyConnectedWithout(t *testing.T) {
 	}
 	if StronglyConnectedWithout(ring, map[int]bool{1: true, 2: true}) {
 		t.Error("removing both successors of node 0 must disconnect it")
+	}
+}
+
+// TestRingNeighboursMatchDefinition checks Succ and Pred against their
+// definitions for Complete and every valid t-augmented ring with n =
+// 3..9: j is a successor of i iff it lies 1..t+1 steps ahead (any other
+// node, for Complete), i is then a predecessor of j, and both lists are
+// strictly ascending.
+func TestRingNeighboursMatchDefinition(t *testing.T) {
+	check := func(name string, topo Topology, link func(i, j int) bool) {
+		t.Helper()
+		n := topo.N()
+		for i := 0; i < n; i++ {
+			var succ, pred []int
+			for j := 0; j < n; j++ {
+				if link(i, j) {
+					succ = append(succ, j)
+				}
+				if link(j, i) {
+					pred = append(pred, j)
+				}
+			}
+			if got := topo.Succ(i); !slices.Equal(got, succ) {
+				t.Errorf("%s: Succ(%d) = %v, want %v", name, i, got, succ)
+			}
+			if got := topo.Pred(i); !slices.Equal(got, pred) {
+				t.Errorf("%s: Pred(%d) = %v, want %v", name, i, got, pred)
+			}
+		}
+	}
+	for n := 3; n <= 9; n++ {
+		check(fmt.Sprintf("Complete(%d)", n), Complete{Nodes: n}, func(i, j int) bool { return i != j })
+		for tt := 1; 2*tt < n; tt++ {
+			ring, err := NewTAugmentedRing(n, tt)
+			if err != nil {
+				t.Fatalf("n=%d t=%d: %v", n, tt, err)
+			}
+			check(fmt.Sprintf("ring(%d,%d)", n, tt), ring, func(i, j int) bool {
+				d := (j - i + n) % n
+				return d >= 1 && d <= tt+1
+			})
+		}
 	}
 }

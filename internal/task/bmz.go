@@ -61,10 +61,14 @@ func (t *Task) legalIn(x Pair, inO map[Pair]bool) []Pair {
 func (t *Task) coverWitness(xp Pair, i int, inO map[Pair]bool) (int, bool) {
 	j := 1 - i
 	exts := t.Extensions(xp)
+	legal := make([][]Pair, len(exts))
+	for e, x := range exts {
+		legal[e] = t.legalIn(x, inO)
+	}
 	// Candidate witnesses: component-j values available for every extension.
 	var candidates []int
 	seen := map[int]bool{}
-	for _, y := range t.legalIn(exts[0], inO) {
+	for _, y := range legal[0] {
 		if !seen[y[j]] {
 			seen[y[j]] = true
 			candidates = append(candidates, y[j])
@@ -73,9 +77,9 @@ func (t *Task) coverWitness(xp Pair, i int, inO map[Pair]bool) (int, bool) {
 	sort.Ints(candidates)
 	for _, w := range candidates {
 		ok := true
-		for _, x := range exts {
+		for _, ys := range legal {
 			found := false
-			for _, y := range t.legalIn(x, inO) {
+			for _, y := range ys {
 				if y[j] == w {
 					found = true
 					break
